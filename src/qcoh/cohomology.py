@@ -16,7 +16,9 @@ Three solver ideas keep everything exact while scaling past tiny groups:
 * Coboundary tests: a potential u with ∂u = c is an affine function of its
   values on generators (propagate u(xs) = u(x) + u(s) − c(x,s) along a BFS
   tree), and the pair constraints (x, s∈S) suffice for the same reason.  The
-  result is a |S|-unknown linear solve no matter the group order.
+  result is a |S|-unknown linear solve no matter the group order.  A stack of
+  k twists with unknown coefficients y gives an |S|+k-unknown system whose
+  kernel is exactly the set of combinations Σ yᵢ·cᵢ that are coboundaries.
 * Full H² only ever runs on small groups (quotients): entries c(x, s) for
   s ∈ S are the unknowns, every other entry is an affine functional of them
   via c(x, ys) = c(x,y) + c(xy,s) − c(y,s), and the generator-slice triples
@@ -298,66 +300,75 @@ def bockstein(chi: Cochain1, lift: Optional[Sequence[int]] = None) -> Cochain2:
 # degree-1 machinery: propagation, Hom bases, coboundary tests
 
 
-def _affine_propagation(group: FiniteGroup, q: int, c: Optional[Cochain2]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """BFS-propagated representation u(x) = coeff[x]·U + const[x].
+def _affine_propagation(group: FiniteGroup, q: int, twists: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """BFS-propagated representation u(x) = coeff[x]·U + const[x]·y.
 
-    U stands for the unknown values of u on the (deduplicated) generators;
-    ``c`` twists the propagation for coboundary solving (None means 0).
+    U stands for the unknown values of u on the (deduplicated) generators and
+    y for the coefficients of a stack of k twists: ``twists[x, j, i]`` is the
+    i-th 2-cochain at (x, gens[j]), and u(xs) = u(x) + u(s) − Σ yᵢ·twistᵢ(x, s)
+    along the tree.  None means no twist (k = 0).
     """
     gens = _solver_gens(group)
     d = len(gens)
     n = group.order
-    coeff = np.zeros((n, d), dtype=np.int64)
-    const = np.zeros(n, dtype=np.int64)
-    for elem, parent, pos in _bfs_tree(group.table, group.identity, gens):
-        coeff[elem] = coeff[parent]
-        coeff[elem, pos] += 1
-        const[elem] = const[parent] - (0 if c is None else c.values[parent, gens[pos]])
+    k = 0 if twists is None else twists.shape[2]
+    # each element's step from its tree parent, then sums along the path to
+    # the identity by pointer jumping (log-depth rounds)
+    e = group.identity
+    anc = np.full(n, e, dtype=np.int64)
+    acc = np.zeros((n, d + k), dtype=np.int64)
+    tree = _bfs_tree(group.table, e, gens)
+    if tree:
+        elem, parent, pos = np.array(tree, dtype=np.int64).T
+        anc[elem] = parent
+        acc[elem, pos] = 1
+        if k:
+            acc[elem, d:] = -twists[parent, pos]
+    while (anc != e).any():
+        acc += acc[anc]
+        anc = anc[anc]
+    coeff, const = acc[:, :d], acc[:, d:]
     return coeff % q, const % q, gens
 
 
-def _pair_constraints(group: FiniteGroup, q: int, coeff: np.ndarray, const: np.ndarray, gens: tuple[int, ...], c: Optional[Cochain2]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (A | b) of the system ∂u = c sampled on all pairs (x, s∈gens)."""
-    n = group.order
-    d = len(gens)
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    rows = []
-    rhs = []
-    for k, s in enumerate(gens):
-        xs = group.table[:, s]
-        a = coeff - coeff[xs]
-        a[:, k] += 1
-        target = np.zeros(n, dtype=np.int64) if c is None else c.values[:, s].copy()
-        b = (target - const + const[xs]) % q
-        rows.append(a % q)
-        rhs.append(b)
-    big = np.concatenate([np.concatenate(rows, axis=0), np.concatenate(rhs)[:, None]], axis=1)
-    big = np.unique(big % q, axis=0)
-    return big[:, :d], big[:, d]
+def _pair_system(group: FiniteGroup, q: int, coeff: np.ndarray, const: np.ndarray, gens: tuple[int, ...], twists: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows [A | R] of A·U = R·y, i.e. ∂u = Σ yᵢ·twistᵢ sampled on all pairs (x, s∈gens).
+
+    Row x·|S| + j is the pair (x, gens[j]); rows are not deduplicated.
+    """
+    n, d = coeff.shape
+    k = const.shape[1]
+    xs = group.table[:, list(gens)]
+    a = coeff[:, None, :] - coeff[xs] + np.eye(d, dtype=np.int64)
+    r = (0 if twists is None else twists) - const[:, None, :] + const[xs]
+    return (np.concatenate([a, r], axis=2) % q).reshape(n * d, d + k)
 
 
 def is_coboundary(c: Cochain2) -> Optional[Cochain1]:
     """A 1-cochain u with ∂u = c, or None.  Requires c to be a cocycle.
 
-    Unknowns are only the generator values of u, so this scales to the full
-    group-order cap; the solution is verified on every pair before return.
+    Unknowns are only the generator values of u (the one-twist case of the
+    pair system), so this scales to the full group-order cap; the solution is
+    verified on every pair before return.
     """
     _require_cocycle2(c)
     group, q = c.group, c.modulus
-    coeff, const, gens = _affine_propagation(group, q, c)
-    a, b = _pair_constraints(group, q, coeff, const, gens, c)
-    sol = solve(ZqMatrix(a, q), b)
+    gens = _solver_gens(group)
+    twists = c.values[:, list(gens)][:, :, None]
+    coeff, const, _ = _affine_propagation(group, q, twists)
+    system = np.unique(_pair_system(group, q, coeff, const, gens, twists), axis=0)
+    sol = solve(ZqMatrix(system[:, : len(gens)], q), system[:, len(gens)])
     if sol is None:
         return None
-    u = Cochain1(group, q, coeff @ sol + const)
-    assert coboundary1(u).same_values(c), "solver produced a non-solution"
+    u = Cochain1(group, q, coeff @ sol + const[:, 0])
+    if not coboundary1(u).same_values(c):
+        raise AssertionError("solver produced a non-solution")
     return u
 
 
 def hom_from_generator_values(group: FiniteGroup, q: int, gen_values: Sequence[int]) -> Optional[Cochain1]:
     """The homomorphism G → Z/q with the given generator values, if it exists."""
-    coeff, _, gens = _affine_propagation(group, q, None)
+    coeff, _, gens = _affine_propagation(group, q)
     u = np.asarray(gen_values, dtype=np.int64)
     if u.shape != (len(gens),):
         raise ValueError(f"need one value per deduplicated generator ({len(gens)})")
@@ -430,8 +441,8 @@ class H1Space:
 
 def h1(group: FiniteGroup, q: int) -> H1Space:
     """Hom(G, Z/q), solved from generator unknowns and pair constraints."""
-    coeff, _, gens = _affine_propagation(group, q, None)
-    a, _ = _pair_constraints(group, q, coeff, np.zeros(group.order, dtype=np.int64), gens, None)
+    coeff, const, gens = _affine_propagation(group, q)
+    a = np.unique(_pair_system(group, q, coeff, const, gens), axis=0)
     ker = kernel(ZqMatrix(a, q)).entries if a.size else np.eye(len(gens), dtype=np.int64)
     basis_rows, factors = _canonical_span_basis(ker, q)
     basis = []

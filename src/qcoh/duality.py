@@ -47,7 +47,7 @@ from .cohomology import (
     tensor_quotient,
     transgression,
 )
-from .cohomology import _canonical_span_basis, _coboundary_rows, _solver_gens
+from .cohomology import _affine_propagation, _canonical_span_basis, _coboundary_rows, _pair_system, _solver_gens
 from .freemodel import FreeLevel3Model, canonical_basis, element_of, free_level3
 from .groups import (
     FiniteGroup,
@@ -222,9 +222,14 @@ def _combo_kernel(
     """Coefficient rows y with Σ y_i·(pullback of cochains[i]) a coboundary.
 
     ``images`` are the values of a homomorphism from ``source`` into the
-    carrier of the cochains (identity when omitted).  With the coboundary
-    lattice of ``source`` folded in, the rows span the kernel of the induced
-    map on classes exactly.
+    carrier of the cochains (identity when omitted).  The unknowns are the
+    |S| generator values U of a potential u on ``source`` and the k
+    coefficients y: u is propagated along the BFS tree with the combination
+    as twist, and ∂u = Σ y_i·c_i is imposed on every pair (x, s∈S).  That
+    pair system is exact: the difference of two cocycles that vanishes on
+    all (x, s) pairs vanishes everywhere (the v-vector fact behind H2Space),
+    so the y-part of its kernel spans the kernel on classes exactly.  Every
+    kernel row is checked against the full pair system before return.
     """
     if source.order > INFLATION_CAP:
         raise ValueError(f"inflation kernel capped at source order {INFLATION_CAP}")
@@ -232,18 +237,29 @@ def _combo_kernel(
     if k == 0:
         return np.zeros((0, 0), dtype=np.int64)
     gens = _solver_gens(source)
-    cob = _coboundary_rows(source, q, gens)
-    if images is None:
-        im = np.arange(source.order, dtype=np.int64)
-    else:
-        im = np.asarray(images, dtype=np.int64)
+    im = np.arange(source.order, dtype=np.int64) if images is None else np.asarray(images, dtype=np.int64)
     cols = im[list(gens)]
-    rows = np.array(
-        [c.values[np.ix_(im, cols)].reshape(-1) for c in cochains], dtype=np.int64
-    ) % q
-    stacked = np.concatenate([rows, cob], axis=0)
-    combos = kernel(ZqMatrix(stacked.T, q)).entries
-    return combos[:, :k] % q
+    twists = np.stack([c.values[np.ix_(im, cols)] for c in cochains], axis=2)
+    coeff, const, _ = _affine_propagation(source, q, twists)
+    system = _pair_system(source, q, coeff, const, gens, twists)
+    combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
+    if ((system @ combos.T) % q).any():
+        raise AssertionError("combination kernel row violates the pair system")
+    return combos[:, len(gens) :] % q
+
+
+def _nonzero_classes(
+    space: H2Space, parts: Sequence[Cochain2], combos: np.ndarray
+) -> tuple[Cochain2, ...]:
+    """Canonical representatives of the distinct nonzero classes Σ row·parts, in row order."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[Cochain2] = []
+    for row in combos:
+        coords = space.coordinates_of(_combine2(space.group, space.modulus, parts, row))
+        if any(coords) and coords not in seen:
+            seen.add(coords)
+            out.append(space.representative(coords))
+    return tuple(out)
 
 
 def _presentation(ngens: int, q: int, rows: np.ndarray) -> AbGroupPresentation:
@@ -273,18 +289,6 @@ def _subspace_contains(big: H2Subspace, small: H2Subspace) -> bool:
 def h2_full(space: H2Space) -> H2Subspace:
     """The whole of H² as a subspace (identity coefficient submodule)."""
     return span_of_classes(space, list(space.basis))
-
-
-def pullback1(chi: Cochain1, hom: GroupHom) -> Cochain1:
-    if chi.group is not hom.target:
-        raise ValueError("cochain does not live on the homomorphism target")
-    return Cochain1(hom.source, chi.modulus, chi.values[hom.images])
-
-
-def pullback2(c: Cochain2, hom: GroupHom) -> Cochain2:
-    if c.group is not hom.target:
-        raise ValueError("cochain does not live on the homomorphism target")
-    return Cochain2(hom.source, c.modulus, c.values[np.ix_(hom.images, hom.images)])
 
 
 # --------------------------------------------------------------------------
@@ -649,16 +653,7 @@ def _inflation_kernel_classes(
         images = solver.data.projection.images[qd0.coset_reps]
         hom = GroupHom(qd0.quotient, space.group, images)
         combos = _combo_kernel(qd0.quotient, q, list(gens), images=hom.images)
-    seen: set[tuple[int, ...]] = set()
-    out: list[Cochain2] = []
-    for row in combos:
-        c = _combine2(space.group, q, list(gens), row)
-        coords = space.coordinates_of(c)
-        if not any(coords) or coords in seen:
-            continue
-        seen.add(coords)
-        out.append(space.representative(coords))
-    return tuple(out), substituted
+    return _nonzero_classes(space, gens, combos), substituted
 
 
 def transgression_pairing(
@@ -752,16 +747,7 @@ def _intersection_class_reps(
     cob = space._cob_v
     stacked = np.concatenate([rows_a, cob, rows_b, cob], axis=0)
     combos = kernel(ZqMatrix(stacked.T, q)).entries
-    seen: set[tuple[int, ...]] = set()
-    out: list[Cochain2] = []
-    for row in combos:
-        c = _combine2(space.group, q, list(gens_a), row[:ka])
-        coords = space.coordinates_of(c)
-        if not any(coords) or coords in seen:
-            continue
-        seen.add(coords)
-        out.append(space.representative(coords))
-    return tuple(out)
+    return _nonzero_classes(space, gens_a, combos[:, :ka])
 
 
 def _lift_kernel_mask(
@@ -782,7 +768,8 @@ def _lift_kernel_mask(
         images = _extend_gen_images(group, tree, assignment, ext.total)
         if not _is_multiplicative(group, ext.total, images):
             continue
-        assert np.array_equal(ext.projection.images[images], pi)
+        if not np.array_equal(ext.projection.images[images], pi):
+            raise AssertionError("a lift does not cover the projection")
         mask = images == ext.total.identity
         acc = mask if acc is None else (acc & mask)
     if acc is None:
@@ -865,17 +852,9 @@ def duality_conditions(
     mid_hom = GroupHom(qd0.quotient, space.group, mid_images)
     if space.basis:
         combos0 = _combo_kernel(qd0.quotient, q, list(space.basis), images=mid_hom.images)
-        kp_classes = []
-        seen: set[tuple[int, ...]] = set()
-        for row in combos0:
-            c = _combine2(space.group, q, list(space.basis), row)
-            coords = space.coordinates_of(c)
-            if not any(coords) or coords in seen:
-                continue
-            seen.add(coords)
-            kp_classes.append(space.representative(coords))
+        kp_classes = _nonzero_classes(space, space.basis, combos0)
     else:
-        kp_classes = []
+        kp_classes = ()
     kp_sub = span_of_classes(space, kp_classes)
     cond_c = _subspace_contains(sub, kp_sub) and _subspace_equal(kp_sub, ker_sub)
 
@@ -888,7 +867,8 @@ def duality_conditions(
     psis = []
     for c in inter:
         psi = solver.preimage(c)
-        assert psi is not None
+        if psi is None:
+            raise AssertionError("intersection class with no transgression preimage")
         psis.append(psi)
     ann_members = [
         int(t)
@@ -1279,15 +1259,7 @@ def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
     if frame is not None:
         dec = h2_dec(frame.space)
         combos = _combo_kernel(group, q, list(dec.gens), images=frame.data.projection.images)
-        ker_classes = []
-        seen: set[tuple[int, ...]] = set()
-        for row in combos:
-            c = _combine2(frame.quotient, q, list(dec.gens), row)
-            coords = frame.space.coordinates_of(c)
-            if any(coords) and coords not in seen:
-                seen.add(coords)
-                ker_classes.append(frame.space.representative(coords))
-        ker_sub = span_of_classes(frame.space, ker_classes)
+        ker_sub = span_of_classes(frame.space, _nonzero_classes(frame.space, dec.gens, combos))
         found: list[Cochain2] = []
         vectors = list(itertools.product(range(q), repeat=frame.d))
         for a in vectors:
@@ -1352,15 +1324,7 @@ def kernel_generating_pairs(
     frame = level2_frame(group, q)
     A = triple.alpha_image(frame.space)
     combos = _combo_kernel(group, q, list(A.gens), images=frame.data.projection.images)
-    seen: set[tuple[int, ...]] = set()
-    ker_classes = []
-    for row in combos:
-        c = _combine2(frame.quotient, q, list(A.gens), row)
-        coords = frame.space.coordinates_of(c)
-        if any(coords) and coords not in seen:
-            seen.add(coords)
-            ker_classes.append(frame.space.representative(coords))
-    ker_sub = span_of_classes(frame.space, ker_classes)
+    ker_sub = span_of_classes(frame.space, _nonzero_classes(frame.space, A.gens, combos))
     target_order = ker_sub.order
     vectors = list(itertools.product(range(q), repeat=frame.d))
     candidates: list[tuple[Optional[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]] = []
@@ -1800,14 +1764,7 @@ def inflation_kernel_symbolic(
     frame = level2_frame(group, q)
     A = triple.alpha_image(frame.space)
     combos = _combo_kernel(group, q, list(A.gens), images=frame.data.projection.images)
-    rows = []
-    seen: set[tuple[int, ...]] = set()
-    for row in combos:
-        c = _combine2(frame.quotient, q, list(A.gens), row)
-        coords = frame.space.coordinates_of(c)
-        if any(coords) and coords not in seen:
-            seen.add(coords)
-            rows.append(frame.class_symbolic_coords(frame.space.representative(coords)))
+    rows = [frame.class_symbolic_coords(c) for c in _nonzero_classes(frame.space, A.gens, combos)]
     if not rows:
         return np.zeros((0, frame.symbolic.rank), dtype=np.int64)
     canon, _ = _canonical_span_basis(np.array(rows, dtype=np.int64), q)

@@ -237,12 +237,6 @@ class ZqMatrix:
         return f"ZqMatrix({self.entries.tolist()!r}, mod {self.modulus})"
 
 
-def hstack(left: ZqMatrix, right: ZqMatrix) -> ZqMatrix:
-    if left.modulus != right.modulus or left.rows != right.rows:
-        raise ValueError("hstack shape/modulus mismatch")
-    return ZqMatrix(np.hstack([left.entries, right.entries]), left.modulus)
-
-
 def vstack(top: ZqMatrix, bottom: ZqMatrix) -> ZqMatrix:
     if top.modulus != bottom.modulus or top.cols != bottom.cols:
         raise ValueError("vstack shape/modulus mismatch")

@@ -11,6 +11,9 @@ import itertools
 
 import numpy as np
 
+from qcoh.cohomology import _coboundary_rows, _solver_gens
+from qcoh.zqlin import ZqMatrix, kernel
+
 
 def all_vectors(q: int, n: int):
     """Every vector in (Z/q)^n, as int64 arrays."""
@@ -272,3 +275,29 @@ def brute_h2_order_tiny(table, identity: int, q: int) -> int:
         coboundaries.add(tab)
     assert coboundaries <= set(cocycles)
     return len(cocycles) // len(coboundaries)
+
+
+# ---------------------------------------------------------------------------
+# cohomological oracles
+
+
+def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:
+    """Coefficient rows y with Σ y_i·(pullback of cochains[i]) a coboundary.
+
+    The reference route: fold in the whole coboundary lattice of ``source``
+    (n−1 rows ∂δ_g of width n·|S|) and take the kernel of the stacked
+    v-vectors, so a combination is zero exactly when its v-vector lies in
+    the lattice.  ``images`` is a homomorphism from ``source`` into the
+    carrier of the cochains (identity when omitted).
+    """
+    k = len(cochains)
+    if k == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    gens = _solver_gens(source)
+    cob = _coboundary_rows(source, q, gens)
+    im = np.arange(source.order, dtype=np.int64) if images is None else np.asarray(images, dtype=np.int64)
+    cols = im[list(gens)]
+    rows = np.array([c.values[np.ix_(im, cols)].reshape(-1) for c in cochains], dtype=np.int64) % q
+    stacked = np.concatenate([rows, cob], axis=0)
+    combos = kernel(ZqMatrix(stacked.T, q)).entries
+    return combos[:, :k] % q

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qcoh.duality as duality_mod
 from qcoh.cohomology import Cochain1, h2, symbolic_h2_elementary
 from qcoh.duality import (
@@ -58,6 +59,7 @@ from qcoh.groups import (
     trivial_subgroup,
     whole_group,
 )
+from qcoh.zqlin import ZqMatrix, howell_form
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +384,54 @@ def test_wrong_space_coefficients_rejected(h27):
 
     with pytest.raises(ValueError):
         duality_conditions(h27, 3, top, tri.floor(h27, 3), dec(other))
+
+
+# ---------------------------------------------------------------------------
+# combination kernels: the generator-potential route against the lattice oracle
+
+
+def _howell_rows(rows, q):
+    return howell_form(ZqMatrix(np.asarray(rows, dtype=np.int64) % q, q)).matrix.entries
+
+
+@pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.parametrize("kind", TRIPLE_KINDS)
+def test_combo_kernel_matches_lattice_oracle(label, args, q, kind):
+    """Same kernel span as the coboundary-lattice route, for identity and projection images.
+
+    Checked with numpy's assertion so the comparison also runs under ``python -O``.
+    """
+    g = _group(*args)
+    tri = triple_of(kind)
+    level2 = quotient(g, tri.top(g, q))
+    space = h2(level2.quotient, q)
+    below = quotient(g, tri.floor(g, q))
+    cases = [
+        (level2.quotient, space.basis, None),
+        (g, tri.alpha_generator_classes(g, q), None),
+        (g, tri.alpha_image(space).gens, level2.projection.images),
+        (below.quotient, space.basis, level2.projection.images[below.coset_reps]),
+    ]
+    for source, cochains, images in cases:
+        fast = duality_mod._combo_kernel(source, q, list(cochains), images=images)
+        slow = oracles.combo_kernel_lattice(source, q, list(cochains), images=images)
+        np.testing.assert_array_equal(_howell_rows(fast, q), _howell_rows(slow, q))
+
+
+def test_combo_kernel_rejects_a_tampered_kernel_row(h27, monkeypatch):
+    """A kernel row that violates the pair system raises, also under ``python -O``."""
+    real_kernel = duality_mod.kernel
+
+    def tampered(matrix):
+        rows = real_kernel(matrix).entries.copy()
+        rows[0, -1] = (rows[0, -1] + 1) % matrix.modulus
+        return ZqMatrix(rows, matrix.modulus)
+
+    level2 = quotient(h27, q_central_series(h27, 3).term(2))
+    space = h2(level2.quotient, 3)
+    monkeypatch.setattr(duality_mod, "kernel", tampered)
+    with pytest.raises(AssertionError, match="violates the pair system"):
+        duality_mod._combo_kernel(level2.quotient, 3, list(space.basis))
 
 
 # ---------------------------------------------------------------------------
