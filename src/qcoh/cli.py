@@ -18,21 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cohomology import (
-    bockstein,
-    cup11,
-    h1,
-    h2,
-    h2_dec,
-    hat_ring,
-    img_bockstein,
-    invariants_h1,
-)
+from .cohomology import h1, h2, h2_dec, hat_ring, img_bockstein
 from .duality import (
     dual_basis_check,
     duality_conditions,
-    galois_relation_type,
-    inflation_isomorphism_table,
     inflation_kernel_symbolic,
     level2_frame,
     local_global_check,
@@ -190,8 +179,8 @@ def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     q = _resolve_q(args)
     report = Report(_echo(args, argv), q=q)
     degrees = (1, 2) if args.deg == "both" else (int(args.deg),)
-    h1s = h1(group, q)
     if 1 in degrees:
+        h1s = h1(group, q)
         report.add(
             "h1-basis",
             PASS,
@@ -215,8 +204,8 @@ def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 
         _timed(report.add, "h2-basis", _h2)
         if space is not None:
-            dec = h2_dec(space, h1s)
-            bock = img_bockstein(space, h1s)
+            dec = h2_dec(space)
+            bock = img_bockstein(space)
             report.add(
                 "h2-decomposable",
                 PASS,
@@ -229,7 +218,7 @@ def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
                 f"order {bock.order}",
                 machine={"order": bock.order},
             )
-            ring = hat_ring(group, q, h1space=h1s, space=space)
+            ring = hat_ring(group, q, cap=args.h2_cap)
             verdict = ring.quadratic2
             report.add(
                 "quadratic-degree2",
@@ -614,12 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--triple", choices=TRIPLE_KINDS, help="duality triple kind")
     common.add_argument("--format", choices=("md", "json"), default="md")
     common.add_argument("--max-order", type=int, default=4096)
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for interface stability; checks run ordered",
-    )
     common.add_argument("--emit", help="also write the report (or emitted table) here")
 
     sp = sub.add_parser("series", parents=[common], help="q-central series data")

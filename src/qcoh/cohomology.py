@@ -39,6 +39,7 @@ from qcoh.groups import (
     QuotientData,
     Subgroup,
     _bfs_tree,
+    _memoized,
     q_central_series,
     quotient,
     subgroup_as_group,
@@ -106,6 +107,19 @@ def _solver_gens(group: FiniteGroup) -> tuple[int, ...]:
     if group.identity in gens:
         gens = tuple(g for g in gens if g != group.identity)
     return gens
+
+
+def _solver_tree(group: FiniteGroup) -> np.ndarray:
+    """Read-only 3×m rows (element, parent, generator position) of the BFS tree
+    over the solver generators, element = parent·gens[position]; kept on the group."""
+
+    def build() -> np.ndarray:
+        tree = _bfs_tree(group.table, group.identity, _solver_gens(group))
+        arr = np.array(tree, dtype=np.int64).reshape(-1, 3).T
+        arr.flags.writeable = False
+        return arr
+
+    return _memoized(group, ("solver_tree",), build)
 
 
 # --------------------------------------------------------------------------
@@ -317,13 +331,11 @@ def _affine_propagation(group: FiniteGroup, q: int, twists: Optional[np.ndarray]
     e = group.identity
     anc = np.full(n, e, dtype=np.int64)
     acc = np.zeros((n, d + k), dtype=np.int64)
-    tree = _bfs_tree(group.table, e, gens)
-    if tree:
-        elem, parent, pos = np.array(tree, dtype=np.int64).T
-        anc[elem] = parent
-        acc[elem, pos] = 1
-        if k:
-            acc[elem, d:] = -twists[parent, pos]
+    elem, parent, pos = _solver_tree(group)
+    anc[elem] = parent
+    acc[elem, pos] = 1
+    if k:
+        acc[elem, d:] = -twists[parent, pos]
     while (anc != e).any():
         acc += acc[anc]
         anc = anc[anc]
@@ -440,7 +452,14 @@ class H1Space:
 
 
 def h1(group: FiniteGroup, q: int) -> H1Space:
-    """Hom(G, Z/q), solved from generator unknowns and pair constraints."""
+    """Hom(G, Z/q), solved from generator unknowns and pair constraints.
+
+    Computed once per q and kept on the group.
+    """
+    return _memoized(group, ("h1", q), lambda: _h1(group, q))
+
+
+def _h1(group: FiniteGroup, q: int) -> H1Space:
     coeff, const, gens = _affine_propagation(group, q)
     a = np.unique(_pair_system(group, q, coeff, const, gens), axis=0)
     ker = kernel(ZqMatrix(a, q)).entries if a.size else np.eye(len(gens), dtype=np.int64)
@@ -451,6 +470,7 @@ def h1(group: FiniteGroup, q: int) -> H1Space:
         assert chi.is_cocycle()
         basis.append(chi)
     gen_values = np.array([chi.values[list(gens)] for chi in basis], dtype=np.int64).reshape(len(basis), len(gens))
+    gen_values.flags.writeable = False
     return H1Space(group, q, gens, tuple(basis), factors, gen_values)
 
 
@@ -662,7 +682,7 @@ def _h2_linear_forms(group: FiniteGroup, q: int) -> tuple[np.ndarray, tuple[int,
         if not seen[s]:
             L[xs, s, xs * d + k] = 1
             seen[s] = True
-    for w, y, k in _bfs_tree(group.table, group.identity, gens):
+    for w, y, k in _solver_tree(group).T.tolist():
         if seen[w]:
             continue
         seen[w] = True
@@ -768,10 +788,17 @@ class H2Space:
 
 
 def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
-    """Full H²(G, Z/q) by the reduced-variable solver.  Guarded by ``cap``."""
+    """Full H²(G, Z/q) by the reduced-variable solver.  Guarded by ``cap``.
+
+    Computed once per q and kept on the group; ``cap`` is checked on every call.
+    """
+    if group.order > cap:
+        raise ValueError(f"group order {group.order} exceeds the H² solver cap {cap}")
+    return _memoized(group, ("h2", q), lambda: _h2(group, q))
+
+
+def _h2(group: FiniteGroup, q: int) -> H2Space:
     n = group.order
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds the H² solver cap {cap}")
     L, gens = _h2_linear_forms(group, q)
     constraints = _h2_constraint_rows(group, q, L, gens)
     if constraints.size:
@@ -787,6 +814,8 @@ def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
     pres = AbGroupPresentation.from_relations(zrows.shape[0], q, mu)
     basis_v = (pres.basis_images.entries @ zrows) % q
     flat_forms = L.reshape(n * n, -1)
+    for arr in (flat_forms, basis_v, cob):
+        arr.flags.writeable = False
     basis = []
     for row in basis_v:
         c = Cochain2(group, q, (flat_forms @ row).reshape(n, n))
@@ -803,7 +832,7 @@ def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
         basis=tuple(basis),
         invariant_factors=pres.invariant_factors,
         _forms=flat_forms,
-        _basis_v=basis_v.reshape(len(basis), -1) if basis else np.zeros((0, n * len(gens)), dtype=np.int64),
+        _basis_v=basis_v,
         _cob_v=cob,
         _cob_howell=cob_h,
     )
@@ -846,16 +875,15 @@ def span_of_classes(space: H2Space, cochains: Sequence[Cochain2]) -> H2Subspace:
     return H2Subspace(space, tuple(cochains), howell_form(ZqMatrix(stacked, space.modulus)))
 
 
-def h2_dec(space: H2Space, h1space: Optional[H1Space] = None) -> H2Subspace:
+def h2_dec(space: H2Space) -> H2Subspace:
     """Span of all cup products of degree-1 classes."""
-    h1s = h1space if h1space is not None else h1(space.group, space.modulus)
-    cups = [cup11(a, b) for a in h1s.basis for b in h1s.basis]
-    return span_of_classes(space, cups)
+    basis = h1(space.group, space.modulus).basis
+    return span_of_classes(space, [cup11(a, b) for a in basis for b in basis])
 
 
-def img_bockstein(space: H2Space, h1space: Optional[H1Space] = None) -> H2Subspace:
-    h1s = h1space if h1space is not None else h1(space.group, space.modulus)
-    return span_of_classes(space, [bockstein(chi) for chi in h1s.basis])
+def img_bockstein(space: H2Space) -> H2Subspace:
+    basis = h1(space.group, space.modulus).basis
+    return span_of_classes(space, [bockstein(chi) for chi in basis])
 
 
 # --------------------------------------------------------------------------
@@ -1067,21 +1095,25 @@ def tensor_kill_rows(
     return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
 
-def tensor_quotient(factors: Sequence[int], q: int, r: int, kill_rows: np.ndarray) -> AbGroupPresentation:
-    """Presentation of (⊕Z/f_k)^{⊗r} / span(kill_rows)."""
+def _tensor_relation_rows(factors: Sequence[int], q: int, r: int) -> np.ndarray:
+    """Relations of (⊕Z/f_k)^{⊗r}: e_{k₁}⊗···⊗e_{k_r} has order min f_{k_i}."""
     m = len(factors)
-    ngens = m**r
-    rel_rows = list(np.asarray(kill_rows, dtype=np.int64).reshape(-1, ngens))
-    # tensor relations: the generator e_{k₁}⊗···⊗e_{k_r} has order min f_{k_i}
-    for tup in itertools.product(range(m), repeat=r):
+    rows = []
+    for flat, tup in enumerate(itertools.product(range(m), repeat=r)):
         f = min(factors[k] for k in tup)
         if f < q:
-            row = np.zeros(ngens, dtype=np.int64)
-            flat = 0
-            for k in tup:
-                flat = flat * m + k
+            row = np.zeros(m**r, dtype=np.int64)
             row[flat] = f
-            rel_rows.append(row)
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m**r)
+
+
+def tensor_quotient(factors: Sequence[int], q: int, r: int, kill_rows: np.ndarray) -> AbGroupPresentation:
+    """Presentation of (⊕Z/f_k)^{⊗r} / span(kill_rows)."""
+    ngens = len(factors) ** r
+    rel_rows = np.concatenate(
+        [np.asarray(kill_rows, dtype=np.int64).reshape(-1, ngens), _tensor_relation_rows(factors, q, r)]
+    )
     return AbGroupPresentation.from_relations(ngens, q, rel_rows)
 
 
@@ -1100,19 +1132,13 @@ class HatRing:
         return self.degrees[2].order == self.dec_order
 
 
-def hat_ring(
-    group: FiniteGroup,
-    q: int,
-    max_degree: int = 2,
-    h1space: Optional[H1Space] = None,
-    space: Optional[H2Space] = None,
-) -> HatRing:
+def hat_ring(group: FiniteGroup, q: int, max_degree: int = 2, cap: int = H2_CAP) -> HatRing:
     if max_degree > 3:
         raise ValueError("tensor degree capped at 3")
     if max_degree < 2:
         raise ValueError("need at least degree 2 for the quadraticity verdict")
-    h1s = h1space if h1space is not None else h1(group, q)
-    sp = space if space is not None else h2(group, q)
+    h1s = h1(group, q)
+    sp = h2(group, q, cap=cap)
     m = len(h1s.basis)
     nfac = len(sp.invariant_factors)
     cup_tbl = np.zeros((m, m, nfac), dtype=np.int64)
@@ -1132,7 +1158,7 @@ def hat_ring(
     for r in range(1, max_degree + 1):
         rows = tensor_kill_rows(h1s.invariant_factors, q, r, 2, cup_is_zero)
         degrees[r] = tensor_quotient(h1s.invariant_factors, q, r, rows)
-    dec = h2_dec(sp, h1s)
+    dec = h2_dec(sp)
     return HatRing(group, q, degrees, dec.order)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .cohomology import (
     Cochain1,
     Cochain2,
-    H1Space,
     H2Space,
     H2Subspace,
     CentralExtensionSpec,
@@ -37,7 +36,6 @@ from .cohomology import (
     h2,
     h2_dec,
     img_bockstein,
-    inflation2,
     invariants_h1,
     is_coboundary,
     restriction2,
@@ -47,7 +45,14 @@ from .cohomology import (
     tensor_quotient,
     transgression,
 )
-from .cohomology import _affine_propagation, _canonical_span_basis, _coboundary_rows, _pair_system, _solver_gens
+from .cohomology import (
+    _affine_propagation,
+    _canonical_span_basis,
+    _coboundary_rows,
+    _pair_system,
+    _solver_gens,
+    _tensor_relation_rows,
+)
 from .freemodel import FreeLevel3Model, canonical_basis, element_of, free_level3
 from .groups import (
     FiniteGroup,
@@ -140,27 +145,22 @@ class DualityTriple:
             return q_central_series(group, q).term(3)
         return power_commutator_subgroup(group, q * q)
 
-    def alpha_image(self, space: H2Space, h1space: Optional[H1Space] = None) -> H2Subspace:
+    def alpha_image(self, space: H2Space) -> H2Subspace:
         """The submodule A(Q) of H²(Q) spanned by the α-values."""
-        h1s = h1space if h1space is not None else h1(space.group, space.modulus)
         if self.kind == "dec-cup":
-            return h2_dec(space, h1s)
+            return h2_dec(space)
         if self.kind == "bock":
-            return img_bockstein(space, h1s)
-        gens = [bockstein(chi) for chi in h1s.basis]
-        gens.extend(cup11(a, b) for a in h1s.basis for b in h1s.basis)
-        return span_of_classes(space, gens)
+            return img_bockstein(space)
+        return span_of_classes(space, list(self.alpha_generator_classes(space.group, space.modulus)))
 
-    def alpha_generator_classes(
-        self, group: FiniteGroup, q: int, h1space: Optional[H1Space] = None
-    ) -> tuple[Cochain2, ...]:
+    def alpha_generator_classes(self, group: FiniteGroup, q: int) -> tuple[Cochain2, ...]:
         """Cocycle generators of A(group) without solving H² of the group."""
-        h1s = h1space if h1space is not None else h1(group, q)
+        basis = h1(group, q).basis
         out: list[Cochain2] = []
         if self.kind in ("bock-cup", "bock"):
-            out.extend(bockstein(chi) for chi in h1s.basis)
+            out.extend(bockstein(chi) for chi in basis)
         if self.kind in ("dec-cup", "bock-cup"):
-            out.extend(cup11(a, b) for a in h1s.basis for b in h1s.basis)
+            out.extend(cup11(a, b) for a in basis for b in basis)
         return tuple(out)
 
 
@@ -469,13 +469,11 @@ def transgression_solver(
     top: Subgroup,
     q: int,
     data: Optional[QuotientData] = None,
-    space: Optional[H2Space] = None,
 ) -> TransgressionSolver:
     inv = invariants_h1(group, top, q)
     if data is None:
         data = quotient(group, top)
-    if space is None:
-        space = h2(data.quotient, q)
+    space = h2(data.quotient, q)
     images = tuple(transgression(group, top, psi, q, data=data) for psi in inv.basis)
     if images:
         image_v = np.array([space.v_vector(c) for c in images], dtype=np.int64)
@@ -920,72 +918,7 @@ def is_dual(
 
 
 # --------------------------------------------------------------------------
-# the triple axioms
-
-
-@dataclass(frozen=True, eq=False)
-class TripleAxiomsReport:
-    normality: bool
-    chain: bool
-    epi_compatible: bool
-    duality: Optional[bool]
-
-    @property
-    def all_hold(self) -> bool:
-        return self.normality and self.chain and self.epi_compatible and self.duality is not False
-
-
-def triple_axioms(
-    group: FiniteGroup,
-    q: int,
-    triple: DualityTriple,
-    epis: Sequence[GroupHom] = (),
-) -> TripleAxiomsReport:
-    """Check the functor axioms for one triple on one group.
-
-    Epimorphisms (onto groups of the same kind of interest) verify the
-    naturality axiom; the duality axiom is evaluated when the level-2
-    quotient is a free module, and reported as None otherwise.
-    """
-    top = triple.top(group, q)
-    floor = triple.floor(group, q)
-    normality = top.is_normal() and floor.is_normal()
-    lower = subgroup_closure(
-        group,
-        [group.power(t, q) for t in top.members]
-        + list(commutator_subgroup(group, top, whole_group(group)).members),
-    )
-    chain = (
-        all(floor.contains(m) for m in lower.members)
-        and all(top.contains(m) for m in floor.members)
-    )
-    epi_ok = True
-    for pi in epis:
-        if not pi.is_surjective():
-            raise ValueError("axiom check needs epimorphisms")
-        tgt_top = triple.top(pi.target, q)
-        tgt_floor = triple.floor(pi.target, q)
-        img_top = sorted({int(pi(int(m))) for m in top.members})
-        img_floor = sorted({int(pi(int(m))) for m in floor.members})
-        epi_ok = epi_ok and img_top == list(tgt_top.members)
-        epi_ok = epi_ok and img_floor == list(tgt_floor.members)
-    try:
-        level2_frame(group, q)
-        duality: Optional[bool] = is_dual(group, q, top, floor, triple.alpha_image)
-    except ValueError:
-        duality = None
-    return TripleAxiomsReport(normality, chain, epi_ok, duality)
-
-
-# --------------------------------------------------------------------------
 # tensor-power functors
-
-
-def _class_zero_test(group: FiniteGroup, q: int) -> Callable[[Cochain2], bool]:
-    if group.order <= 64:
-        space = h2(group, q)
-        return space.is_zero_class
-    return lambda c: is_coboundary(c) is not None
 
 
 def _alpha_zero_predicate(
@@ -994,7 +927,6 @@ def _alpha_zero_predicate(
     chars: Sequence[Cochain1],
     carrier: FiniteGroup,
     q: int,
-    zero_test: Callable[[Cochain2], bool],
 ) -> Callable[[tuple[np.ndarray, ...]], bool]:
     active = t in triple.active_degrees
     if not active or t > 2:
@@ -1004,8 +936,8 @@ def _alpha_zero_predicate(
         return _combine1(carrier, q, list(chars), [int(x) for x in vec])
 
     if t == 1:
-        return lambda tup: zero_test(bockstein(chi(tup[0])))
-    return lambda tup: zero_test(cup11(chi(tup[0]), chi(tup[1])))
+        return lambda tup: is_coboundary(bockstein(chi(tup[0]))) is not None
+    return lambda tup: is_coboundary(cup11(chi(tup[0]), chi(tup[1]))) is not None
 
 
 def alpha_tensor_quotient(
@@ -1014,32 +946,12 @@ def alpha_tensor_quotient(
     triple: DualityTriple,
     r: int,
     t: int,
-    h1space: Optional[H1Space] = None,
 ) -> AbGroupPresentation:
     """The degree-r tensor power of H¹(G) modulo the α-killed t-spans."""
-    h1s = h1space if h1space is not None else h1(group, q)
-    pred = _alpha_zero_predicate(
-        triple, t, h1s.basis, group, q, _class_zero_test(group, q)
-    )
+    h1s = h1(group, q)
+    pred = _alpha_zero_predicate(triple, t, h1s.basis, group, q)
     kill = tensor_kill_rows(h1s.invariant_factors, q, r, t, pred)
     return tensor_quotient(h1s.invariant_factors, q, r, kill)
-
-
-def _tensor_base_rows(factors: Sequence[int], q: int, r: int) -> np.ndarray:
-    m = len(factors)
-    rows = []
-    for tup in itertools.product(range(m), repeat=r):
-        f = min(factors[k] for k in tup)
-        if f < q:
-            row = np.zeros(m**r, dtype=np.int64)
-            flat = 0
-            for k in tup:
-                flat = flat * m + k
-            row[flat] = f
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, m**r), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -1074,8 +986,7 @@ def inflation_isomorphism_table(
     """
     top = triple.top(group, q)
     floor = triple.floor(group, q)
-    h1g = h1(group, q)
-    own_gens = triple.alpha_generator_classes(group, q, h1space=h1g)
+    own_gens = triple.alpha_generator_classes(group, q)
     own_rows = (
         np.array(
             [c.values[:, list(_solver_gens(group))].reshape(-1) for c in own_gens],
@@ -1090,7 +1001,7 @@ def inflation_isomorphism_table(
     for N in normal_subgroups_within(group, top):
         qd = quotient(group, N)
         h1n = h1(qd.quotient, q)
-        gens_n = triple.alpha_generator_classes(qd.quotient, q, h1space=h1n)
+        gens_n = triple.alpha_generator_classes(qd.quotient, q)
         in_floor = all(floor.contains(int(m)) for m in N.members)
         # kernel combos upstairs vs downstairs decide injectivity on classes
         combos_up = _combo_kernel(group, q, list(gens_n), images=qd.projection.images)
@@ -1113,16 +1024,14 @@ def inflation_isomorphism_table(
         surjective = all(row_span_contains(lifted_span, r) for r in own_rows)
         alpha_iso = injective and surjective
         tensor_iso: dict = {}
-        base = {r: _tensor_base_rows(h1n.invariant_factors, q, r) for r in degrees}
-        zero_down = _class_zero_test(qd.quotient, q)
-        zero_up = _class_zero_test(group, q)
+        base = {r: _tensor_relation_rows(h1n.invariant_factors, q, r) for r in degrees}
         lifted_chars = [Cochain1(group, q, chi.values[qd.projection.images]) for chi in h1n.basis]
         for t in triple.active_degrees:
             for r in degrees:
                 if r < t:
                     continue
-                pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q, zero_down)
-                pred_up = _alpha_zero_predicate(triple, t, lifted_chars, group, q, zero_up)
+                pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q)
+                pred_up = _alpha_zero_predicate(triple, t, lifted_chars, group, q)
                 kill_down = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_down)
                 kill_up = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_up)
                 m = len(h1n.invariant_factors)
@@ -1247,12 +1156,11 @@ def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
         frame = None
         free_level2 = False
     h1s = h1(group, q)
-    zero = _class_zero_test(group, q)
     if h1s.order > SEARCH_CAP:
         raise ValueError("twist search too large")
     twist = None
     for xi in h1s.enumerate_elements():
-        if all(zero(bockstein(chi) - cup11(chi, xi)) for chi in h1s.basis):
+        if all(is_coboundary(bockstein(chi) - cup11(chi, xi)) is not None for chi in h1s.basis):
             twist = xi
             break
     kernel_cup_generated = False
@@ -1708,7 +1616,7 @@ def dual_basis_check(d: int, q: int) -> DualBasisReport:
     frame = level2_frame(G, q, preferred_parent=model.sigma)
     if frame.d != d:
         raise AssertionError("level-2 quotient rank mismatch on the free model")
-    solver = transgression_solver(G, top, q, data=frame.data, space=frame.space)
+    solver = transgression_solver(G, top, q, data=frame.data)
     basis = canonical_basis(model)
     shapes: list[tuple[Optional[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]] = []
     for i in range(d):

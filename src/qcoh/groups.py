@@ -9,14 +9,16 @@ scanning *all* elements or pairs of the relevant subgroups and then closing
 — generator-only scans are a known trap and are deliberately avoided.
 
 Everything is immutable after construction and all operations are pure.
+Facts that depend only on a group and q (element orders, the q-central
+series, and in :mod:`qcoh.cohomology` H¹, H² and the solver's BFS tree) are
+computed once and kept in a private per-group memo, freed with the group.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "QCentralSeries",
     "QuotientData",
     "Subgroup",
-    "build_group",
     "center",
     "commutator_subgroup",
     "direct_product",
@@ -204,6 +205,8 @@ class FiniteGroup:
         _check_associative(t, self.generators if self.generators else [e])
         if len(self.labels) != n:
             raise ValueError("need one label per element")
+        # facts that depend only on the group (and q), filled by _memoized
+        object.__setattr__(self, "_memo", {})
 
     # -- basic queries ------------------------------------------------------
     @property
@@ -269,13 +272,31 @@ class FiniteGroup:
         return cls(t, e, inv, tuple(gens), labels, name)
 
 
+_T = TypeVar("_T")
+
+
+def _memoized(group: FiniteGroup, key: tuple, build: Callable[[], _T]) -> _T:
+    """``build()`` once per group and key; the value is kept on the group.
+
+    Values must be immutable.  Those that point back at the group form a
+    cycle with it, so the group and its memo are freed together.
+    """
+    memo = group._memo  # type: ignore[attr-defined]
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # element statistics
 
 
-@functools.lru_cache(maxsize=None)
 def element_orders(group: FiniteGroup) -> np.ndarray:
-    """Vector of element orders (cached per group; groups hash by identity)."""
+    """Read-only vector of element orders, computed once and kept on the group."""
+    return _memoized(group, ("element_orders",), lambda: _element_orders(group))
+
+
+def _element_orders(group: FiniteGroup) -> np.ndarray:
     n = group.order
     out = np.zeros(n, dtype=np.int64)
     cur = np.arange(n)
@@ -458,6 +479,11 @@ class QCentralSeries:
 
 
 def q_central_series(group: FiniteGroup, q: int, depth: Optional[int] = None) -> QCentralSeries:
+    """The series of ``group`` for (q, depth), computed once and kept on the group."""
+    return _memoized(group, ("q_central_series", q, depth), lambda: _q_central_series(group, q, depth))
+
+
+def _q_central_series(group: FiniteGroup, q: int, depth: Optional[int]) -> QCentralSeries:
     from qcoh.zqlin import factor_prime_power
 
     p, s = factor_prime_power(q)
@@ -903,67 +929,3 @@ def preset(name: str, params: Sequence = ()) -> FiniteGroup:
             out = direct_product(out, f)
         return out
     raise ValueError(f"unknown preset {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# group description documents
-
-
-def _group_from_permutations(perms: Sequence[Sequence[int]], max_order: int) -> FiniteGroup:
-    """Closure of 1-based permutation generators under composition."""
-    if not perms:
-        raise ValueError("need at least one permutation")
-    degree = len(perms[0])
-    gens = []
-    for perm in perms:
-        if sorted(perm) != list(range(1, degree + 1)):
-            raise ValueError("permutations must be 1-based and of one common degree")
-        gens.append(tuple(x - 1 for x in perm))
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(g[x[i]] for i in range(degree))  # apply x first, then g
-                if y not in index:
-                    if len(elements) >= max_order:
-                        raise ValueError(f"permutation closure exceeds the order cap {max_order}")
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            table[i, j] = index[tuple(y[x[k]] for k in range(degree))]
-    gen_ids = [index[g] for g in gens]
-    return FiniteGroup.from_table(table, generators=gen_ids, name="perm-group")
-
-
-def build_group(spec: dict, max_order: Optional[int] = None) -> FiniteGroup:
-    """Build a group from a plain description dict.
-
-    Exactly one of the keys ``preset``, ``permutations`` (1-based), ``table``
-    (0-based full multiplication table) must be present; ``params`` accompanies
-    ``preset`` and ``name`` is optional everywhere.
-    """
-    cap = max_order or DEFAULT_MAX_ORDER
-    keys = [k for k in ("preset", "permutations", "table") if k in spec]
-    if len(keys) != 1:
-        raise ValueError("specify exactly one of: preset, permutations, table")
-    kind = keys[0]
-    if kind == "preset":
-        grp = preset(spec["preset"], spec.get("params", ()))
-    elif kind == "permutations":
-        grp = _group_from_permutations(spec["permutations"], cap)
-    else:
-        grp = FiniteGroup.from_table(spec["table"], generators=spec.get("generators"))
-    if grp.order > cap:
-        raise ValueError(f"group order {grp.order} exceeds the cap {cap}")
-    if "name" in spec:
-        grp = FiniteGroup(grp.table, grp.identity, grp.inverses, grp.generators, grp.labels, str(spec["name"]))
-    return grp

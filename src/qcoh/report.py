@@ -17,7 +17,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .groups import preset as group_preset
 from .zqlin import factor_prime_power
 
@@ -176,7 +176,7 @@ def _perm_group_from_generators(
         for g in perms:
             nxt = tuple(g[current[x]] for x in range(degree))
             if nxt not in index:
-                if len(elements) >= 4096:
+                if len(elements) >= DEFAULT_MAX_ORDER:
                     raise GroupSpecError("permutation closure exceeds the order cap", location)
                 index[nxt] = len(elements)
                 elements.append(nxt)

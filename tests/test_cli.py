@@ -7,6 +7,10 @@ and the determinism guarantee are checked exactly as a shell user sees them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,13 @@ def test_document_reindexes_identity_on_emit():
     rebuilt = parse_group_document(doc)
     assert rebuilt.identity == 0
     assert is_isomorphic(rebuilt, base)
+
+
+def test_document_permutations_order_cap():
+    # the closure of S7 (order 5040) stops at the 4096-element cap
+    doc = {"permutations": {"degree": 7, "generators": [[2, 3, 4, 5, 6, 7, 1], [2, 1, 3, 4, 5, 6, 7]]}}
+    with pytest.raises(GroupSpecError, match="order cap"):
+        parse_group_document(doc)
 
 
 def test_load_group_document_missing_file(tmp_path):
@@ -253,6 +264,16 @@ def test_cli_cohomology_cap_skips(capsys):
     assert "SKIPPED** h2-basis" in out
 
 
+def test_cli_cohomology_cap_raised(capsys):
+    # order 81 is above the default H² cap; --h2-cap reaches hat_ring too
+    code, out = _run(capsys, "cohomology", "--preset", "cyclic", "--params", "81",
+                     "--q", "3", "--h2-cap", "81", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["machine"]["h2-basis"]["invariant_factors"] == [3]
+    assert data["machine"]["quadratic-degree2"] == {"dec_order": 1, "quadratic": True}
+
+
 def test_cli_pairing(capsys):
     code, out = _run(capsys, "pairing", "--preset", "dihedral4", "--q", "2")
     assert code == 0
@@ -367,3 +388,24 @@ def test_cli_verify_dual_basis(capsys):
     data = json.loads(out)
     assert len(data["checks"]) == 7
     assert all(r["status"] == "pass" for r in data["checks"])
+
+
+def test_cli_verify_all_same_under_python_O():
+    """Stripping asserts with ``python -O`` changes no verdict and no machine output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "qcoh.cli", "verify", "all", "--format", "json"]
+    runs = [
+        subprocess.Popen([sys.executable, *flags, *argv], env=env, stdout=subprocess.PIPE, text=True)
+        for flags in ([], ["-O"])
+    ]
+    docs = []
+    for proc in runs:
+        out, _ = proc.communicate(timeout=600)
+        assert proc.returncode == 0
+        doc = json.loads(out)
+        doc.pop("timings")
+        docs.append(doc)
+    plain, optimized = docs
+    assert optimized["machine"] == plain["machine"]
+    assert optimized == plain

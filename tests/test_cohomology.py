@@ -5,6 +5,9 @@ oracle, and everything class-level is double-checked through coboundary
 tests, which run on a completely separate (degree-1) solver path.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,7 @@ from qcoh.cohomology import (
     zero1,
     zero2,
 )
+from qcoh.cohomology import _solver_tree
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
     center,
@@ -945,3 +949,42 @@ def test_five_term_level2_guard(d4):
     rot = subgroup_closure(d4, [d4.generators[0]])
     with pytest.raises(ValueError):
         five_term_check(d4, rot, 2)
+
+
+# ---------------------------------------------------------------------------
+# per-group memo
+
+
+def test_memo_returns_the_same_h1_h2_and_tree():
+    g = preset("dihedral4")
+    assert h1(g, 2) is h1(g, 2)
+    assert h2(g, 2) is h2(g, 2)
+    assert _solver_tree(g) is _solver_tree(g)
+    assert h1(g, 4) is not h1(g, 2)
+    assert h1(g, 4).invariant_factors == (2, 2)
+
+
+def test_memo_h2_checks_the_cap_on_every_call():
+    g = preset("elementary_abelian", [2, 3])
+    space = h2(g, 2)
+    with pytest.raises(ValueError):
+        h2(g, 2, cap=4)
+    assert h2(g, 2) is space
+
+
+def test_memo_cached_arrays_are_read_only():
+    g = preset("heisenberg", [3])
+    space = h2(g, 3)
+    for arr in (h1(g, 3)._gen_values, _solver_tree(g), space._forms, space._basis_v, space._cob_v):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
+def test_memo_is_freed_with_its_group():
+    g = preset("quaternion8")
+    h1(g, 2)
+    h2(g, 2)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

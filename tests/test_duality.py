@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import qcoh.duality as duality_mod
-from qcoh.cohomology import Cochain1, h2, symbolic_h2_elementary
+from qcoh.cohomology import Cochain1, bockstein, cup11, h1, h2, is_coboundary, symbolic_h2_elementary
 from qcoh.duality import (
     alpha_surjective,
     alpha_tensor_quotient,
@@ -834,6 +834,21 @@ def test_reconstruction_empty_rows_collapse_center():
 
 # ---------------------------------------------------------------------------
 # tensor functors and alpha surjectivity
+
+
+@pytest.mark.parametrize("label,args,q", POOL + [("sharp22", None, 2)])
+def test_class_zero_by_coboundary_matches_h2_oracle(label, args, q):
+    """The α predicates decide class zero by ``is_coboundary``; the full H² is the oracle.
+
+    Every Bockstein and cup of degree-1 classes is an α-tuple cochain of some
+    triple, on the group itself and (inflated) on each of its quotients.
+    """
+    g = free_level3(2, 2).group if args is None else _group(*args)
+    space = h2(g, q)
+    chars = list(h1(g, q).enumerate_elements())
+    cochains = [bockstein(a) for a in chars] + [cup11(a, b) for a in chars for b in chars]
+    for c in cochains:
+        assert (is_coboundary(c) is None) == (not space.is_zero_class(c))
 
 
 def test_tensor_quotient_heisenberg_cups_vanish(h27):

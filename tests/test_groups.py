@@ -1,5 +1,8 @@
 """Tests for the finite-group engine, pinned against plain-loop oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from qcoh.groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    build_group,
     center,
     commutator_subgroup,
     direct_product,
@@ -123,19 +125,6 @@ def test_corrupted_table_rejected(d4):
     bad[3, 4] = d4.table[3, 5]
     with pytest.raises(ValueError):
         FiniteGroup.from_table(bad)
-
-
-def test_build_group_specs():
-    g = build_group({"preset": "cyclic", "params": [6], "name": "C6"})
-    assert g.order == 6 and g.name == "C6"
-    s3 = build_group({"permutations": [[2, 3, 1], [2, 1, 3]]})
-    assert s3.order == 6 and not is_abelian(s3)
-    z2 = build_group({"table": [[0, 1], [1, 0]]})
-    assert z2.order == 2
-    with pytest.raises(ValueError):
-        build_group({"preset": "cyclic", "params": [4], "table": [[0]]})
-    with pytest.raises(ValueError):
-        build_group({"permutations": [[2, 3, 4, 5, 1]]}, max_order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -409,3 +398,45 @@ def test_fibred_product_heisenberg(h27):
     fp = fibred_product(epi, g)
     assert fp.group.order == 3**4
     assert fp.left.is_surjective() and fp.right.is_surjective()
+
+
+# ---------------------------------------------------------------------------
+# per-group memo
+
+
+def test_memo_returns_the_same_series_and_orders():
+    g = preset("heisenberg", [3])
+    assert q_central_series(g, 3) is q_central_series(g, 3)
+    assert element_orders(g) is element_orders(g)
+    # a fresh group with the same table computes its own
+    twin = FiniteGroup.from_table(g.table)
+    assert q_central_series(twin, 3) is not q_central_series(g, 3)
+
+
+def test_memo_keys_the_series_on_q_and_depth():
+    g = preset("cyclic", [16])
+    full, shallow = q_central_series(g, 2), q_central_series(g, 2, depth=3)
+    assert full is not shallow
+    assert [t.order for t in full.terms] == [16, 8, 4, 2, 1, 1]
+    assert [t.order for t in shallow.terms] == [16, 8, 4]
+    assert q_central_series(g, 2, depth=3) is shallow
+    assert q_central_series(g, 4) is not full
+    with pytest.raises(ValueError):
+        q_central_series(g, 2, depth=2)
+
+
+def test_memo_orders_are_read_only(d4):
+    orders = element_orders(d4)
+    with pytest.raises(ValueError):
+        orders[0] = 5
+
+
+def test_memo_is_freed_with_its_group():
+    g = preset("dihedral4")
+    q_central_series(g, 2)
+    element_orders(g)
+    g.power(1, 3)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
