@@ -279,7 +279,8 @@ def cup11(chi: Cochain1, chi2: Cochain1) -> Cochain2:
     _require_cocycle1(chi2)
     vals = chi.values[:, None] * chi2.values[None, :]
     out = Cochain2(chi.group, chi.modulus, vals)
-    assert out.is_cocycle()
+    if not out.is_cocycle():
+        raise AssertionError("cup product of homomorphisms is not a cocycle")
     return out
 
 
@@ -306,7 +307,8 @@ def bockstein(chi: Cochain1, lift: Optional[Sequence[int]] = None) -> Cochain2:
     if (num % q).any():
         raise ValueError("lift failure: coboundary numerator not divisible")
     out = Cochain2(chi.group, q, num // q)
-    assert out.is_cocycle()
+    if not out.is_cocycle():
+        raise AssertionError("Bockstein of a homomorphism is not a cocycle")
     return out
 
 

@@ -48,9 +48,9 @@ from .cohomology import (
 from .cohomology import (
     _affine_propagation,
     _canonical_span_basis,
-    _coboundary_rows,
     _pair_system,
     _solver_gens,
+    _span_equal,
     _tensor_relation_rows,
 )
 from .freemodel import FreeLevel3Model, canonical_basis, element_of, free_level3
@@ -179,14 +179,6 @@ def _as_matrix(rows: np.ndarray, width: int, q: int) -> ZqMatrix:
     return ZqMatrix(arr, q)
 
 
-def _rows_span_equal(a: np.ndarray, b: np.ndarray, width: int, q: int) -> bool:
-    ha = howell_form(_as_matrix(a, width, q))
-    hb = howell_form(_as_matrix(b, width, q))
-    if row_span_size(ha) != row_span_size(hb):
-        return False
-    return all(row_span_contains(hb, row) for row in ha.matrix.entries)
-
-
 def _span_intersection(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:
     """Rows spanning (row span of a) ∩ (row span of b)."""
     a = np.asarray(a, dtype=np.int64).reshape(-1, width) % q
@@ -199,18 +191,51 @@ def _span_intersection(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.n
     return howell_form(_as_matrix(inter, width, q)).matrix.entries
 
 
-def _combine1(group: FiniteGroup, q: int, parts: Sequence[Cochain1], coeffs: Sequence[int]) -> Cochain1:
-    acc = np.zeros(group.order, dtype=np.int64)
-    for x, chi in zip(coeffs, parts):
-        acc += int(x) * chi.values
-    return Cochain1(group, q, acc)
-
-
 def _combine2(group: FiniteGroup, q: int, parts: Sequence[Cochain2], coeffs: Sequence[int]) -> Cochain2:
     acc = np.zeros((group.order, group.order), dtype=np.int64)
     for x, c in zip(coeffs, parts):
         acc += int(x) * c.values
     return Cochain2(group, q, acc)
+
+
+def _twist_stack(
+    source: FiniteGroup, cochains: Sequence[Cochain2], images: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The pullbacks of ``cochains`` sampled on the pairs (x, s∈S) of ``source``.
+
+    ``twists[x, j, i]`` is cochains[i] at (images[x], images[gens[j]]);
+    ``images`` are the values of a homomorphism from ``source`` into the
+    carrier of the cochains (identity when omitted).
+    """
+    gens = list(_solver_gens(source))
+    if not cochains:
+        return np.zeros((source.order, len(gens), 0), dtype=np.int64)
+    im = np.arange(source.order, dtype=np.int64) if images is None else np.asarray(images, dtype=np.int64)
+    return np.stack([c.values[np.ix_(im, im[gens])] for c in cochains], axis=2)
+
+
+def _twist_kernel(source: FiniteGroup, q: int, twists: np.ndarray) -> np.ndarray:
+    """Coefficient rows y with Σ y_i·twists[..., i] a coboundary on ``source``.
+
+    The unknowns are the |S| generator values U of a potential u on
+    ``source`` and the k coefficients y: u is propagated along the BFS tree
+    with the combination as twist, and ∂u = Σ y_i·c_i is imposed on every
+    pair (x, s∈S).  That pair system is exact: the difference of two
+    cocycles that vanishes on all (x, s) pairs vanishes everywhere (the
+    v-vector fact behind H2Space), so the y-part of its kernel spans the
+    kernel on classes exactly.  Every kernel row is checked against the full
+    pair system before return.
+    """
+    if source.order > INFLATION_CAP:
+        raise ValueError(f"inflation kernel capped at source order {INFLATION_CAP}")
+    if twists.shape[2] == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    coeff, const, gens = _affine_propagation(source, q, twists)
+    system = _pair_system(source, q, coeff, const, gens, twists)
+    combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
+    if ((system @ combos.T) % q).any():
+        raise AssertionError("combination kernel row violates the pair system")
+    return combos[:, len(gens) :] % q
 
 
 def _combo_kernel(
@@ -219,33 +244,38 @@ def _combo_kernel(
     cochains: Sequence[Cochain2],
     images: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Coefficient rows y with Σ y_i·(pullback of cochains[i]) a coboundary.
+    """Coefficient rows y with Σ y_i·(pullback of cochains[i]) a coboundary."""
+    return _twist_kernel(source, q, _twist_stack(source, cochains, images))
 
-    ``images`` are the values of a homomorphism from ``source`` into the
-    carrier of the cochains (identity when omitted).  The unknowns are the
-    |S| generator values U of a potential u on ``source`` and the k
-    coefficients y: u is propagated along the BFS tree with the combination
-    as twist, and ∂u = Σ y_i·c_i is imposed on every pair (x, s∈S).  That
-    pair system is exact: the difference of two cocycles that vanishes on
-    all (x, s) pairs vanishes everywhere (the v-vector fact behind H2Space),
-    so the y-part of its kernel spans the kernel on classes exactly.  Every
-    kernel row is checked against the full pair system before return.
+
+def _inflation_iso(
+    source: FiniteGroup,
+    q: int,
+    images: np.ndarray,
+    target_gens: Sequence[Cochain2],
+    own_gens: Sequence[Cochain2],
+) -> tuple[bool, bool]:
+    """(mono, surj) for the pullback of A(target) along ``images`` into A(source).
+
+    ``target_gens`` generate A on the target and ``own_gens`` on ``source``.
+    Mono: the pulled-back combinations that vanish upstairs are those that
+    already vanish downstairs.  Surj: every own class lies in the span of
+    the pulled-back classes plus B², i.e. the kernel of the stacked pair
+    system projects onto all of (Z/q)^{len(own_gens)} in the own columns.
     """
-    if source.order > INFLATION_CAP:
-        raise ValueError(f"inflation kernel capped at source order {INFLATION_CAP}")
-    k = len(cochains)
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    gens = _solver_gens(source)
-    im = np.arange(source.order, dtype=np.int64) if images is None else np.asarray(images, dtype=np.int64)
-    cols = im[list(gens)]
-    twists = np.stack([c.values[np.ix_(im, cols)] for c in cochains], axis=2)
-    coeff, const, _ = _affine_propagation(source, q, twists)
-    system = _pair_system(source, q, coeff, const, gens, twists)
-    combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
-    if ((system @ combos.T) % q).any():
-        raise AssertionError("combination kernel row violates the pair system")
-    return combos[:, len(gens) :] % q
+    k = len(target_gens)
+    mono = k == 0 or _span_equal(
+        _combo_kernel(source, q, target_gens, images=images),
+        _combo_kernel(target_gens[0].group, q, target_gens),
+        q,
+        k,
+    )
+    twists = np.concatenate(
+        [_twist_stack(source, target_gens, images), _twist_stack(source, own_gens)], axis=2
+    )
+    own = _twist_kernel(source, q, twists)[:, k:]
+    surj = row_span_size(howell_form(ZqMatrix(own, q))) == q ** len(own_gens)
+    return mono, surj
 
 
 def _nonzero_classes(
@@ -403,7 +433,8 @@ def level2_frame(
     chars = []
     for i in range(d):
         chi = Cochain1(Q, q, coords[:, i].copy())
-        assert chi.is_cocycle()
+        if not chi.is_cocycle():
+            raise AssertionError("coordinate character of the level-2 quotient is not a homomorphism")
         chars.append(chi)
     sym = symbolic_h2_elementary(d, q)
     gen_classes = [bockstein(chi) for chi in chars]
@@ -808,11 +839,11 @@ def duality_conditions(
     if kamb:
         stacked = np.concatenate([solver._image_v, span_rows], axis=0)
         pre_a = kernel(ZqMatrix(stacked.T, q)).entries[:, :kamb] % q
-        cond_a = _rows_span_equal(
+        cond_a = _span_equal(
             np.concatenate([pre_a, rel_rows], axis=0),
             np.concatenate([k_rows.reshape(-1, kamb), rel_rows], axis=0),
-            width,
             q,
+            width,
         )
     else:
         cond_a = True
@@ -925,19 +956,29 @@ def _alpha_zero_predicate(
     triple: DualityTriple,
     t: int,
     chars: Sequence[Cochain1],
-    carrier: FiniteGroup,
+    source: FiniteGroup,
     q: int,
+    images: Optional[np.ndarray] = None,
 ) -> Callable[[tuple[np.ndarray, ...]], bool]:
-    active = t in triple.active_degrees
-    if not active or t > 2:
+    """Whether α, pulled back to ``source``, kills a t-tuple of coordinate vectors over ``chars``.
+
+    α is linear in the coordinates for t = 1 (Bockstein) and bilinear for
+    t = 2 (cup), so a tuple is killed iff a (t = 1), or a⊗b flattened
+    row-major (t = 2), lies in the kernel K_t of the m classes β(χᵢ), or of
+    the m² classes χᵢ∪χⱼ at index i·m+j.  K_t is found once, by
+    ``_combo_kernel``; ``images`` maps ``source`` into the carrier of
+    ``chars`` (identity when omitted).
+    """
+    if t not in triple.active_degrees or t > 2:
         return lambda tup: True
-
-    def chi(vec: np.ndarray) -> Cochain1:
-        return _combine1(carrier, q, list(chars), [int(x) for x in vec])
-
     if t == 1:
-        return lambda tup: is_coboundary(bockstein(chi(tup[0]))) is not None
-    return lambda tup: is_coboundary(cup11(chi(tup[0]), chi(tup[1]))) is not None
+        classes = [bockstein(chi) for chi in chars]
+    else:
+        classes = [cup11(a, b) for a in chars for b in chars]
+    span = howell_form(ZqMatrix(_combo_kernel(source, q, classes, images=images), q))
+    if t == 1:
+        return lambda tup: row_span_contains(span, tup[0])
+    return lambda tup: row_span_contains(span, np.outer(tup[0], tup[1]).reshape(-1))
 
 
 def alpha_tensor_quotient(
@@ -987,59 +1028,31 @@ def inflation_isomorphism_table(
     top = triple.top(group, q)
     floor = triple.floor(group, q)
     own_gens = triple.alpha_generator_classes(group, q)
-    own_rows = (
-        np.array(
-            [c.values[:, list(_solver_gens(group))].reshape(-1) for c in own_gens],
-            dtype=np.int64,
-        )
-        % q
-        if own_gens
-        else np.zeros((0, group.order * len(_solver_gens(group))), dtype=np.int64)
-    )
-    cob_g = _coboundary_rows(group, q, _solver_gens(group))
     rows_out = []
     for N in normal_subgroups_within(group, top):
         qd = quotient(group, N)
         h1n = h1(qd.quotient, q)
-        gens_n = triple.alpha_generator_classes(qd.quotient, q)
         in_floor = all(floor.contains(int(m)) for m in N.members)
-        # kernel combos upstairs vs downstairs decide injectivity on classes
-        combos_up = _combo_kernel(group, q, list(gens_n), images=qd.projection.images)
-        combos_down = _combo_kernel(qd.quotient, q, list(gens_n))
-        kwidth = len(gens_n)
-        injective = _rows_span_equal(combos_up, combos_down, kwidth, q) if kwidth else True
-        if gens_n:
-            lifted = np.array(
-                [
-                    c.values[np.ix_(qd.projection.images, qd.projection.images[list(_solver_gens(group))])].reshape(-1)
-                    for c in gens_n
-                ],
-                dtype=np.int64,
-            ) % q
-            lifted_span = howell_form(
-                ZqMatrix(np.concatenate([lifted, cob_g], axis=0), q)
-            )
-        else:
-            lifted_span = howell_form(ZqMatrix(cob_g, q))
-        surjective = all(row_span_contains(lifted_span, r) for r in own_rows)
+        injective, surjective = _inflation_iso(
+            group, q, qd.projection.images, triple.alpha_generator_classes(qd.quotient, q), own_gens
+        )
         alpha_iso = injective and surjective
         tensor_iso: dict = {}
-        base = {r: _tensor_relation_rows(h1n.invariant_factors, q, r) for r in degrees}
-        lifted_chars = [Cochain1(group, q, chi.values[qd.projection.images]) for chi in h1n.basis]
+        m = len(h1n.invariant_factors)
         for t in triple.active_degrees:
+            pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q)
+            pred_up = _alpha_zero_predicate(triple, t, h1n.basis, group, q, images=qd.projection.images)
             for r in degrees:
                 if r < t:
                     continue
-                pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q)
-                pred_up = _alpha_zero_predicate(triple, t, lifted_chars, group, q)
+                base = _tensor_relation_rows(h1n.invariant_factors, q, r)
                 kill_down = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_down)
                 kill_up = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_up)
-                m = len(h1n.invariant_factors)
-                tensor_iso[(r, t)] = _rows_span_equal(
-                    np.concatenate([kill_down.reshape(-1, m**r), base[r]], axis=0),
-                    np.concatenate([kill_up.reshape(-1, m**r), base[r]], axis=0),
-                    m**r,
+                tensor_iso[(r, t)] = _span_equal(
+                    np.concatenate([kill_down.reshape(-1, m**r), base], axis=0),
+                    np.concatenate([kill_up.reshape(-1, m**r), base], axis=0),
                     q,
+                    m**r,
                 )
         if in_floor != alpha_iso:
             raise AssertionError(
@@ -1097,26 +1110,9 @@ def projection_conditions(
     to_floor2 = GroupHom(g1, qd20.quotient, qd20.projection.images[pi.images])
     quotient_iso = to_floor2.kernel().same_as(floor1)
     kernel_in_floor = all(floor1.contains(int(m)) for m in pi.kernel().members)
-    gens2 = triple.alpha_generator_classes(g2, q)
-    combos_up = _combo_kernel(g1, q, list(gens2), images=pi.images)
-    combos_down = _combo_kernel(g2, q, list(gens2))
-    kwidth = len(gens2)
-    mono = _rows_span_equal(combos_up, combos_down, kwidth, q) if kwidth else True
-    gens1 = triple.alpha_generator_classes(g1, q)
-    g1_gens = _solver_gens(g1)
-    cob1 = _coboundary_rows(g1, q, g1_gens)
-    pulled = (
-        np.array(
-            [c.values[np.ix_(pi.images, pi.images[list(g1_gens)])].reshape(-1) for c in gens2],
-            dtype=np.int64,
-        )
-        % q
-        if gens2
-        else np.zeros((0, g1.order * len(g1_gens)), dtype=np.int64)
+    mono, surj = _inflation_iso(
+        g1, q, pi.images, triple.alpha_generator_classes(g2, q), triple.alpha_generator_classes(g1, q)
     )
-    pulled_span = howell_form(ZqMatrix(np.concatenate([pulled, cob1], axis=0), q))
-    own1 = [c.values[:, list(g1_gens)].reshape(-1) % q for c in gens1]
-    surj = all(row_span_contains(pulled_span, r) for r in own1)
     report = ProjectionReport(quotient_iso, kernel_in_floor, mono and surj, mono)
     if strict and not report.all_equal:
         raise AssertionError(

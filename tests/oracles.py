@@ -11,8 +11,8 @@ import itertools
 
 import numpy as np
 
-from qcoh.cohomology import _coboundary_rows, _solver_gens
-from qcoh.zqlin import ZqMatrix, kernel
+from qcoh.cohomology import Cochain1, _coboundary_rows, _solver_gens, bockstein, cup11, is_coboundary
+from qcoh.zqlin import ZqMatrix, howell_form, kernel, row_span_contains
 
 
 def all_vectors(q: int, n: int):
@@ -301,3 +301,47 @@ def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:
     stacked = np.concatenate([rows, cob], axis=0)
     combos = kernel(ZqMatrix(stacked.T, q)).entries
     return combos[:, :k] % q
+
+
+def alpha_zero_predicate_solve(triple, t: int, chars, carrier, q: int):
+    """α-kills-this-tuple by building the Bockstein or cup cochain of each tuple.
+
+    The reference route: combine the coordinate vector(s) into characters on
+    ``carrier``, build β(χ) or χ∪χ′, and ask ``is_coboundary`` — one cochain
+    and one full solve per tuple.
+    """
+    if t not in triple.active_degrees or t > 2:
+        return lambda tup: True
+
+    def chi(vec):
+        acc = np.zeros(carrier.order, dtype=np.int64)
+        for x, c in zip(vec, chars):
+            acc += int(x) * c.values
+        return Cochain1(carrier, q, acc)
+
+    if t == 1:
+        return lambda tup: is_coboundary(bockstein(chi(tup[0]))) is not None
+    return lambda tup: is_coboundary(cup11(chi(tup[0]), chi(tup[1]))) is not None
+
+
+def inflation_iso_lattice(source, q: int, images, target_gens, own_gens) -> tuple[bool, bool]:
+    """(mono, surj) of the pullback A(target) → A(source) by the coboundary lattice.
+
+    Mono compares the lattice combination kernels upstairs and downstairs.
+    Surj asks whether every own generator's pair-sampled values lie in the
+    span of the pulled-back generators plus the n−1 rows ∂δ_g of ``source``.
+    """
+    k = len(target_gens)
+    mono = k == 0 or np.array_equal(
+        howell_form(ZqMatrix(combo_kernel_lattice(source, q, target_gens, images=images), q)).matrix.entries,
+        howell_form(ZqMatrix(combo_kernel_lattice(target_gens[0].group, q, target_gens), q)).matrix.entries,
+    )
+    gens = list(_solver_gens(source))
+    im = np.asarray(images, dtype=np.int64)
+    cob = _coboundary_rows(source, q, tuple(gens))
+    pulled = np.array(
+        [c.values[np.ix_(im, im[gens])].reshape(-1) for c in target_gens], dtype=np.int64
+    ).reshape(k, cob.shape[1])
+    span = howell_form(ZqMatrix(np.concatenate([pulled, cob], axis=0), q))
+    surj = all(row_span_contains(span, c.values[:, gens].reshape(-1)) for c in own_gens)
+    return bool(mono), surj

@@ -328,6 +328,16 @@ def test_bockstein_generator_is_not_coboundary():
         assert is_coboundary(bockstein(chi)) is None
 
 
+def test_cup_and_bockstein_raise_on_a_failed_cocycle_check(g33, monkeypatch):
+    """The built cochain's cocycle check is an explicit raise, so it also runs under ``python -O``."""
+    chi = h1(g33, 3).basis[0]
+    monkeypatch.setattr(Cochain2, "is_cocycle", lambda self: False)
+    with pytest.raises(AssertionError, match="cup product of homomorphisms is not a cocycle"):
+        cup11(chi, chi)
+    with pytest.raises(AssertionError, match="Bockstein of a homomorphism is not a cocycle"):
+        bockstein(chi)
+
+
 def test_inflated_defining_class_dies_upstairs(h27):
     """The class presenting E as an extension of Q inflates to zero on E."""
     data = quotient(h27, center(h27))

@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 
 import oracles
 import qcoh.duality as duality_mod
-from qcoh.cohomology import Cochain1, bockstein, cup11, h1, h2, is_coboundary, symbolic_h2_elementary
+from qcoh.cohomology import (
+    Cochain1,
+    bockstein,
+    cup11,
+    h1,
+    h2,
+    is_coboundary,
+    symbolic_h2_elementary,
+    tensor_kill_rows,
+)
 from qcoh.duality import (
     alpha_surjective,
     alpha_tensor_quotient,
@@ -51,6 +60,7 @@ from qcoh.freemodel import free_level3
 from qcoh.groups import (
     commutator_subgroup,
     is_isomorphic,
+    normal_subgroups_within,
     preset,
     q_central_series,
     quotient,
@@ -432,6 +442,83 @@ def test_combo_kernel_rejects_a_tampered_kernel_row(h27, monkeypatch):
     monkeypatch.setattr(duality_mod, "kernel", tampered)
     with pytest.raises(AssertionError, match="violates the pair system"):
         duality_mod._combo_kernel(level2.quotient, 3, list(space.basis))
+
+
+def test_level2_frame_raises_on_a_failed_cocycle_check(monkeypatch):
+    """A coordinate character that fails its cocycle check raises, also under ``python -O``."""
+    g = preset("heisenberg", [3])
+    monkeypatch.setattr(Cochain1, "is_cocycle", lambda self: False)
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        level2_frame(g, 3)
+
+
+# ---------------------------------------------------------------------------
+# α predicates and the inflation-iso check against the per-tuple solve route
+
+
+@pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.parametrize("kind", TRIPLE_KINDS)
+def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
+    """Kernel-membership α predicates and ``_inflation_iso`` agree with the old routes.
+
+    For every normal N ≤ T: identical ``tensor_kill_rows`` for the down and up
+    predicates at each (r, t), and the same (mono, surj) as the lattice oracle.
+    Checked with numpy's assertions so the comparison also runs under ``python -O``.
+    """
+    g = _group(*args)
+    tri = triple_of(kind)
+    own_gens = tri.alpha_generator_classes(g, q)
+    for N in normal_subgroups_within(g, tri.top(g, q)):
+        qd = quotient(g, N)
+        h1n = h1(qd.quotient, q)
+        lifted = [Cochain1(g, q, chi.values[qd.projection.images]) for chi in h1n.basis]
+        for t in tri.active_degrees:
+            sides = [
+                (
+                    duality_mod._alpha_zero_predicate(tri, t, h1n.basis, qd.quotient, q),
+                    oracles.alpha_zero_predicate_solve(tri, t, h1n.basis, qd.quotient, q),
+                ),
+                (
+                    duality_mod._alpha_zero_predicate(tri, t, h1n.basis, g, q, images=qd.projection.images),
+                    oracles.alpha_zero_predicate_solve(tri, t, lifted, g, q),
+                ),
+            ]
+            for r in range(t, 4):
+                for fast, slow in sides:
+                    np.testing.assert_array_equal(
+                        tensor_kill_rows(h1n.invariant_factors, q, r, t, fast),
+                        tensor_kill_rows(h1n.invariant_factors, q, r, t, slow),
+                    )
+        target_gens = tri.alpha_generator_classes(qd.quotient, q)
+        np.testing.assert_equal(
+            duality_mod._inflation_iso(g, q, qd.projection.images, target_gens, own_gens),
+            oracles.inflation_iso_lattice(g, q, qd.projection.images, target_gens, own_gens),
+        )
+
+
+@pytest.mark.parametrize("kind", ["bock-cup", "bock"])
+@pytest.mark.parametrize(
+    "label,args", [("cyclic3", ("cyclic", [3])), ("el33", ("elementary_abelian", [3, 2]))]
+)
+def test_inflation_iso_matches_lattice_oracle_when_h1_shrinks(label, args, kind):
+    """Killing a Frattini-free quotient shrinks H¹, so some own Bockstein is not inflated.
+
+    Z/3 → 1 and (Z/3)² → Z/3: surj is False on both routes.
+    """
+    g = _group(*args)
+    tri = triple_of(kind)
+    N = subgroup_closure(g, [g.generators[-1]])
+    qd = quotient(g, N)
+    case = (
+        g,
+        3,
+        qd.projection.images,
+        tri.alpha_generator_classes(qd.quotient, 3),
+        tri.alpha_generator_classes(g, 3),
+    )
+    got = duality_mod._inflation_iso(*case)
+    np.testing.assert_equal(got, oracles.inflation_iso_lattice(*case))
+    np.testing.assert_equal(got[1], False)
 
 
 # ---------------------------------------------------------------------------
@@ -838,10 +925,10 @@ def test_reconstruction_empty_rows_collapse_center():
 
 @pytest.mark.parametrize("label,args,q", POOL + [("sharp22", None, 2)])
 def test_class_zero_by_coboundary_matches_h2_oracle(label, args, q):
-    """The α predicates decide class zero by ``is_coboundary``; the full H² is the oracle.
+    """``is_coboundary`` decides class zero as the full H² does, the oracle here.
 
     Every Bockstein and cup of degree-1 classes is an α-tuple cochain of some
-    triple, on the group itself and (inflated) on each of its quotients.
+    triple; the old per-tuple α predicates in ``oracles`` ask exactly this.
     """
     g = free_level3(2, 2).group if args is None else _group(*args)
     space = h2(g, q)
