@@ -200,12 +200,22 @@ class Cochain2:
         e = self.group.identity
         if v[e, :].any() or v[:, e].any():
             raise ValueError("2-cochains are normalized: zero when either argument is 1")
+        # the is_cocycle verdict, kept once computed: the values are read-only
+        object.__setattr__(self, "_cocycle", None)
 
     def __call__(self, g: int, h: int) -> int:
         return int(self.values[g, h])
 
     def is_cocycle(self) -> bool:
-        """Exact check of c(x,y) + c(xy,z) = c(y,z) + c(x,yz) via generator slices."""
+        """Exact check of c(x,y) + c(xy,z) = c(y,z) + c(x,yz) via generator slices.
+
+        Computed on the first call and kept on the cochain.
+        """
+        if self._cocycle is None:  # type: ignore[attr-defined]
+            object.__setattr__(self, "_cocycle", self._check_cocycle())
+        return self._cocycle  # type: ignore[attr-defined]
+
+    def _check_cocycle(self) -> bool:
         t = self.group.table
         c = self.values
         n = self.group.order
@@ -264,7 +274,9 @@ def _require_cocycle1(chi: Cochain1) -> None:
 
 
 def _require_cocycle2(c: Cochain2) -> None:
-    if not c.is_cocycle():
+    # a kept verdict is read directly, so each cochain is checked once
+    verdict = c.is_cocycle() if c._cocycle is None else c._cocycle  # type: ignore[attr-defined]
+    if not verdict:
         raise ValueError("expected a degree-2 cocycle")
 
 

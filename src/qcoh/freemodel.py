@@ -158,9 +158,11 @@ def _build_sharp(d: int, q: int) -> FreeLevel3Model:
     power_central = tuple(int(q ** (d + i)) for i in range(d))
     commutator_central = tuple(int(q ** (2 * d + t)) for t in range(len(pairs)))
     for i in range(d):
-        assert group.power(sigma[i], q) == power_central[i], "collection power law broken"
+        if group.power(sigma[i], q) != power_central[i]:
+            raise AssertionError("collection power law broken")
     for t, (i, j) in enumerate(pairs):
-        assert group.commutator(sigma[i], sigma[j]) == commutator_central[t], "collection commutator sign broken"
+        if group.commutator(sigma[i], sigma[j]) != commutator_central[t]:
+            raise AssertionError("collection commutator sign broken")
 
     coords = coords.copy()
     coords.flags.writeable = False
@@ -191,7 +193,8 @@ def _build_flat(d: int, q: int) -> FreeLevel3Model:
     flat_group = data.quotient
     if p != 2:
         expected = q ** (d + len(sharp.pairs))
-        assert flat_group.order == expected, "flat order must drop the power block"
+        if flat_group.order != expected:
+            raise AssertionError("flat order must drop the power block")
 
     proj = data.projection
     sigma = tuple(proj(g) for g in sharp.sigma)
@@ -292,5 +295,6 @@ def normal_form_roundtrip(model: FreeLevel3Model, element: int) -> NormalForm:
         b=tuple(int(x) for x in row[2 * d :]),
     )
     rebuilt = element_of(model, form.a, form.c, form.b)
-    assert rebuilt == element, "normal form failed to reconstruct its element"
+    if rebuilt != element:
+        raise AssertionError("normal form failed to reconstruct its element")
     return form

@@ -1,24 +1,35 @@
 """Finite groups as fully validated multiplication tables.
 
 Groups are dense n×n index tables checked for the group axioms at
-construction.  Associativity is proven, not sampled: the table passes
-Light's test against a generating set whose closure is verified first,
-which is equivalent to the full triple check but runs in |gens|·n² rather
-than n³.  Verbal subgroups (m-th powers, commutators) are computed by
-scanning *all* elements or pairs of the relevant subgroups and then closing
-— generator-only scans are a known trap and are deliberately avoided.
+construction.  Associativity is proven, not sampled, by Light's test:
+(x·s)·y = x·(s·y) for every generator s, once the generators are verified
+to reach every element as a positive word.  The same argument proves the
+other two structural facts on the generators alone.  A map f with f(1) = 1
+and f(x·s) = f(x)·f(s) for every x and generator s is multiplicative, at
+n·|S| cells instead of n².  A subgroup N with s⁻¹Ns ⊆ N for every
+generator s is normal, at |N|·|S| cells instead of n·|N|.
+
+The scans that must stay all-pairs (Light's test, the closure check of a
+:class:`Subgroup`, :func:`subgroup_closure` and :func:`commutator_subgroup`)
+run in row blocks of a fixed cell budget, so no temporary outgrows one
+block; the products they collect are marked in a boolean mask over the
+group rather than sorted and deduplicated.  Verbal subgroups
+(m-th powers, commutators) are computed by scanning *all* elements or pairs
+of the relevant subgroups and then closing — generator-only scans are a
+known trap there and are deliberately avoided.
 
 Everything is immutable after construction and all operations are pure.
 Facts that depend only on a group and q (element orders, the q-central
-series, and in :mod:`qcoh.cohomology` H¹, H² and the solver's BFS tree) are
-computed once and kept in a private per-group memo, freed with the group.
+series, the whole group as a subgroup, and in :mod:`qcoh.cohomology` H¹, H²
+and the solver's BFS tree) are computed once and kept in a private
+per-group memo, freed with the group.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,6 +41,8 @@ HOM_TARGET_LIMIT = 512
 ISO_LIMIT = 512
 #: Cap for exhaustive subgroup-lattice walks.
 NORMAL_ENUM_LIMIT = 64
+#: Cells gathered per row block of an all-pairs scan.
+_BLOCK_CELLS = 1 << 18
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -114,14 +127,26 @@ def _greedy_generators(table: np.ndarray, identity: int) -> list[int]:
     return gens
 
 
+def _row_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """``table[np.ix_(rows, cols)]`` in consecutive row blocks of at most _BLOCK_CELLS cells."""
+    n = table.shape[1]
+    flat = table.reshape(-1)  # a view: group tables are C-contiguous
+    step = max(1, _BLOCK_CELLS // max(1, cols.size))
+    for lo in range(0, rows.size, step):
+        yield flat[(rows[lo : lo + step] * n)[:, None] + cols]
+
+
 def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
     """Light's test: (x·s)·y == x·(s·y) for every generator s proves
     associativity outright once the generators' closure is the whole set."""
+    n = table.shape[0]
+    step = max(1, _BLOCK_CELLS // n)
     for s in gens:
-        left = table[table[:, s], :]
-        right = table[:, table[s, :]]
-        if not np.array_equal(left, right):
-            raise ValueError("multiplication table is not associative")
+        xs, sy = table[:, s], table[s, :]
+        for lo in range(0, n, step):
+            # rows x·s of the table against rows x with columns s·y
+            if not np.array_equal(table[xs[lo : lo + step]], np.take(table[lo : lo + step], sy, axis=1)):
+                raise ValueError("multiplication table is not associative")
 
 
 def _compress_word(word: Sequence[str]) -> str:
@@ -179,7 +204,7 @@ class FiniteGroup:
     name: str = "G"
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=np.int64)
+        t = np.ascontiguousarray(self.table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("multiplication table must be square")
         n = t.shape[0]
@@ -345,16 +370,16 @@ class Subgroup:
         object.__setattr__(self, "members", mem)
         if not mem:
             raise ValueError("subgroup cannot be empty")
+        idx = np.array(mem, dtype=np.int64)
         mask = np.zeros(self.parent.order, dtype=bool)
-        mask[list(mem)] = True
+        mask[idx] = True
         mask.flags.writeable = False
         object.__setattr__(self, "_mask", mask)
         if not mask[self.parent.identity]:
             raise ValueError("subgroup must contain the identity")
-        block = self.parent.table[np.ix_(mem, mem)]
-        if not mask[block].all():
+        if not all(mask[blk].all() for blk in _row_blocks(self.parent.table, idx, idx)):
             raise ValueError("member set is not closed under multiplication")
-        if not mask[self.parent.inverses[list(mem)]].all():
+        if not mask[self.parent.inverses[idx]].all():
             raise ValueError("member set is not closed under inversion")
 
     @property
@@ -375,11 +400,11 @@ class Subgroup:
         return self.order == 1
 
     def is_normal(self) -> bool:
-        g = np.arange(self.parent.order)
-        mem = list(self.members)
-        conj = self.parent.table[
-            self.parent.table[np.ix_(self.parent.inverses[g], mem)], g[:, None]
-        ]
+        """s⁻¹Ns ⊆ N for every generator s: conjugation by s is injective, so
+        it maps N onto N, and every element is a positive word in the generators."""
+        t = self.parent.table
+        gens = np.array(self.parent.generators, dtype=np.int64)
+        conj = t[t[np.ix_(self.parent.inverses[gens], self.members)], gens[:, None]]
         return bool(self.mask[conj].all())
 
     def same_as(self, other: "Subgroup") -> bool:
@@ -390,7 +415,8 @@ class Subgroup:
 
 
 def whole_group(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
+    """G as a subgroup of itself, built (and closure-checked) once per group."""
+    return _memoized(group, ("whole_group",), lambda: Subgroup(group, tuple(range(group.order))))
 
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
@@ -399,12 +425,14 @@ def trivial_subgroup(group: FiniteGroup) -> Subgroup:
 
 def subgroup_closure(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``seeds``: repeated product closure."""
-    current = np.unique(np.array([group.identity, *seeds], dtype=np.int64))
+    seen = np.zeros(group.order, dtype=bool)
+    seen[np.array([group.identity, *seeds], dtype=np.int64)] = True
     while True:
-        products = np.unique(group.table[np.ix_(current, current)])
-        if products.size == current.size:
-            return Subgroup(group, tuple(int(x) for x in current))
-        current = products
+        current = np.flatnonzero(seen)
+        for blk in _row_blocks(group.table, current, current):
+            seen[blk] = True
+        if np.count_nonzero(seen) == current.size:
+            return Subgroup(group, tuple(current.tolist()))
 
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
@@ -434,11 +462,12 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
     t = group.table
     h = np.array(left.members, dtype=np.int64)
     k = np.array(right.members, dtype=np.int64)
-    hk = t[np.ix_(h, k)]
-    inv_part = t[np.ix_(group.inverses[h], group.inverses[k])]
+    seen = np.zeros(group.order, dtype=bool)
     # [h,k] = (h⁻¹k⁻¹)(hk); row i, column j pairs h_i with k_j in both factors
-    comms = t[inv_part, hk]
-    return subgroup_closure(group, np.unique(comms))
+    inv_part = _row_blocks(t, group.inverses[h], group.inverses[k])
+    for hk, hk_inv in zip(_row_blocks(t, h, k), inv_part):
+        seen[t[hk_inv, hk]] = True
+    return subgroup_closure(group, np.flatnonzero(seen))
 
 
 def center(group: FiniteGroup) -> Subgroup:
@@ -524,6 +553,21 @@ def _q_central_series(group: FiniteGroup, q: int, depth: Optional[int]) -> QCent
 # homomorphisms and quotients
 
 
+def _is_multiplicative(source: FiniteGroup, target: FiniteGroup, images: np.ndarray) -> bool:
+    """f(1) = 1 and f(x·s) = f(x)·f(s) for every x and generator s.
+
+    That proves f multiplicative: every y is a positive word in the
+    generators, and f(x·y) = f(x)·f(y) follows by induction on its length.
+    ``images`` must already hold target indices, one per source element.
+    """
+    if int(images[source.identity]) != target.identity:
+        return False
+    gens = np.array(source.generators, dtype=np.int64)
+    lhs = images[source.table[:, gens]]
+    rhs = target.table[images[:, None], images[gens][None, :]]
+    return bool(np.array_equal(lhs, rhs))
+
+
 @dataclass(frozen=True, eq=False)
 class GroupHom:
     """A homomorphism given by its full image table; multiplicativity is checked."""
@@ -543,9 +587,7 @@ class GroupHom:
             raise ValueError("images must be target indices")
         if int(img[self.source.identity]) != self.target.identity:
             raise ValueError("identity must map to identity")
-        lhs = img[self.source.table]
-        rhs = self.target.table[img[:, None], img[None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not _is_multiplicative(self.source, self.target, img):
             raise ValueError("map is not multiplicative")
 
     def __call__(self, x: int) -> int:
@@ -634,12 +676,6 @@ def _extend_gen_images(
     return images
 
 
-def _is_multiplicative(source: FiniteGroup, target: FiniteGroup, images: np.ndarray) -> bool:
-    lhs = images[source.table]
-    rhs = target.table[images[:, None], images[None, :]]
-    return bool(np.array_equal(lhs, rhs))
-
-
 def enumerate_homs(
     source: FiniteGroup,
     target: FiniteGroup,
@@ -648,7 +684,7 @@ def enumerate_homs(
     """All homomorphisms source → target, by backtracking over generator images.
 
     Complete: a homomorphism is determined by its generator images, and every
-    image tuple whose breadth-first extension passes the full multiplicativity
+    image tuple whose breadth-first extension passes the multiplicativity
     check is kept.  Candidates are pruned to target elements whose order
     divides the generator's order.
     """
@@ -829,8 +865,10 @@ def _heisenberg(p: int) -> FiniteGroup:
     r, s = enc(1, 0, 0), enc(0, 1, 0)
     grp = FiniteGroup.from_table(table, generators=[r, s], gen_names=["r", "s"], name=f"H_{n}")
     t = grp.commutator(r, s)
-    assert t != grp.identity and grp.power(t, p) == grp.identity
-    assert grp.power(r, p) == grp.identity and grp.power(s, p) == grp.identity
+    if t == grp.identity or grp.power(t, p) != grp.identity:
+        raise AssertionError("heisenberg commutator must have order p")
+    if grp.power(r, p) != grp.identity or grp.power(s, p) != grp.identity:
+        raise AssertionError("heisenberg generators must have order p")
     return grp
 
 
@@ -855,8 +893,10 @@ def _modular(p: int) -> FiniteGroup:
                     table[src, enc(i2, j2)] = enc(i1 + i2 * twist[j1], j1 + j2)
     r, s = enc(1, 0), enc(0, 1)
     grp = FiniteGroup.from_table(table, generators=[r, s], gen_names=["r", "s"], name=f"M_{n}")
-    assert grp.commutator(r, s) == grp.power(r, p)
-    assert grp.power(s, p) == grp.identity
+    if grp.commutator(r, s) != grp.power(r, p):
+        raise AssertionError("modular commutator must be r^p")
+    if grp.power(s, p) != grp.identity:
+        raise AssertionError("modular generator s must have order p")
     return grp
 
 
@@ -873,7 +913,8 @@ def _dihedral4() -> FiniteGroup:
                     sign = -1 if j1 else 1
                     table[enc(i1, j1), enc(i2, j2)] = enc(i1 + sign * i2, j1 + j2)
     grp = FiniteGroup.from_table(table, generators=[enc(1, 0), enc(0, 1)], gen_names=["r", "s"], name="D4")
-    assert center(grp).order == 2
+    if center(grp).order != 2:
+        raise AssertionError("D4 must have a center of order 2")
     return grp
 
 
@@ -892,8 +933,10 @@ def _quaternion8() -> FiniteGroup:
                     table[enc(i1, j1), enc(i2, j2)] = enc(i, j1 + j2)
     grp = FiniteGroup.from_table(table, generators=[enc(1, 0), enc(0, 1)], gen_names=["x", "y"], name="Q8")
     x, y = enc(1, 0), enc(0, 1)
-    assert grp.power(x, 2) == grp.power(y, 2) != grp.identity
-    assert order_profile(grp) == {1: 1, 2: 1, 4: 6}
+    if not grp.power(x, 2) == grp.power(y, 2) != grp.identity:
+        raise AssertionError("Q8 needs x² = y² ≠ 1")
+    if order_profile(grp) != {1: 1, 2: 1, 4: 6}:
+        raise AssertionError("Q8 must have one involution and six elements of order 4")
     return grp
 
 

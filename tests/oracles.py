@@ -107,6 +107,22 @@ def commutator_elements(table, inverses, left, right) -> set[int]:
     return out
 
 
+def is_multiplicative_all_pairs(source, target, images) -> bool:
+    """f(x·y) == f(x)·f(y) on every one of the n² pairs of ``source``."""
+    images = np.asarray(images, dtype=np.int64)
+    lhs = images[source.table]
+    rhs = target.table[images[:, None], images[None, :]]
+    return bool(np.array_equal(lhs, rhs))
+
+
+def is_normal_all_conjugates(sub) -> bool:
+    """g⁻¹xg ∈ N for every element g of the parent group and every x ∈ N."""
+    parent = sub.parent
+    g = np.arange(parent.order)
+    conj = parent.table[parent.table[np.ix_(parent.inverses[g], sub.members)], g[:, None]]
+    return bool(sub.mask[conj].all())
+
+
 def brute_hom_count(src_table, src_identity, src_gens, tgt_table, tgt_identity,
                     surjective_only=False) -> int:
     """Count homomorphisms by exhaustive search over all generator images."""

@@ -974,6 +974,31 @@ def test_memo_returns_the_same_h1_h2_and_tree():
     assert h1(g, 4).invariant_factors == (2, 2)
 
 
+def test_memo_cocycle_verdict_is_computed_once(monkeypatch):
+    """is_cocycle checks a cochain once; is_coboundary reuses the kept verdict."""
+    g = preset("dihedral4")
+    chi = h1(g, 2).basis[0]
+    good = cup11(chi, chi)
+    vals = np.zeros((8, 8), dtype=np.int64)
+    others = [x for x in range(8) if x != g.identity]
+    vals[others[0], others[1]] = 1
+    bad = Cochain2(g, 2, vals)
+    checks = []
+    real = Cochain2._check_cocycle
+    monkeypatch.setattr(Cochain2, "_check_cocycle", lambda self: checks.append(self) or real(self))
+    is_coboundary(good)
+    is_coboundary(good)
+    if checks or not good.is_cocycle():
+        raise AssertionError("cup11 already checked its cochain; the verdict must be reused")
+    for _ in range(2):
+        if bad.is_cocycle():
+            raise AssertionError("a non-cocycle passed the check")
+        with pytest.raises(ValueError, match="expected a degree-2 cocycle"):
+            is_coboundary(bad)
+    if len(checks) != 1:
+        raise AssertionError(f"the bad cochain was checked {len(checks)} times")
+
+
 def test_memo_h2_checks_the_cap_on_every_call():
     g = preset("elementary_abelian", [2, 3])
     space = h2(g, 2)

@@ -11,7 +11,9 @@ from qcoh.freemodel import (
     free_level3,
     normal_form_roundtrip,
 )
+from qcoh import freemodel
 from qcoh.groups import (
+    FiniteGroup,
     enumerate_homs,
     is_isomorphic,
     preset,
@@ -287,3 +289,20 @@ def test_sharp_surjects_onto_small_level3_groups(d, q, target_spec):
     assert epis
     for phi in epis[:2]:
         assert phi.is_surjective()
+
+
+# ------------------------------------------------------- checks that survive -O
+
+
+def test_law_check_fires_when_tampered(monkeypatch):
+    """The collection-law checks are explicit raises, so they also fire under ``python -O``."""
+    monkeypatch.setattr(FiniteGroup, "commutator", lambda self, x, y: self.identity)
+    with pytest.raises(AssertionError, match="collection commutator sign broken"):
+        free_level3(2, 2, "sharp")
+
+
+def test_roundtrip_check_fires_when_tampered(sharp22, monkeypatch):
+    monkeypatch.setattr(freemodel, "element_of", lambda model, a, c, b: model.group.identity)
+    x = sharp22.sigma[0]
+    with pytest.raises(AssertionError, match="normal form failed to reconstruct"):
+        normal_form_roundtrip(sharp22, x)

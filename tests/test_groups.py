@@ -1,12 +1,15 @@
 """Tests for the finite-group engine, pinned against plain-loop oracles."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
 import oracles
+from qcoh import groups
+from qcoh.freemodel import free_level3
 from qcoh.groups import (
     FiniteGroup,
     GroupHom,
@@ -118,6 +121,13 @@ def test_direct_product_order():
 def test_full_axiom_check_small_presets(d4, q8, h27):
     for g in (d4, q8, h27):
         assert oracles.table_is_associative(g.table)
+
+
+def test_preset_check_fires_when_tampered(monkeypatch):
+    """The preset checks are explicit raises, so they also fire under ``python -O``."""
+    monkeypatch.setattr(groups, "center", trivial_subgroup)
+    with pytest.raises(AssertionError, match="center of order 2"):
+        preset("dihedral4")
 
 
 def test_corrupted_table_rejected(d4):
@@ -312,6 +322,166 @@ def test_every_enumerated_hom_is_multiplicative(d4):
 
 
 # ---------------------------------------------------------------------------
+# generator-local checks against the all-pairs oracles
+#
+# The comparisons raise explicitly or use numpy assertions, so these tests
+# also check under ``python -O``.
+
+# the ten groups of POOL in test_duality.py, and small homomorphism targets
+POOL_PRESETS = [
+    ("cyclic", [4]),
+    ("cyclic", [8]),
+    ("cyclic", [9]),
+    ("cyclic", [16]),
+    ("dihedral4", []),
+    ("quaternion8", []),
+    ("heisenberg", [3]),
+    ("modular", [3]),
+    ("elementary_abelian", [2, 2]),
+    ("elementary_abelian", [3, 2]),
+]
+SMALL_TARGETS = [
+    ("dihedral4", []),
+    ("quaternion8", []),
+    ("cyclic", [2]),
+    ("cyclic", [4]),
+    ("elementary_abelian", [3, 2]),
+]
+
+
+def _preset_id(spec):
+    name, params = spec
+    return "-".join([name, *map(str, params)])
+
+
+@pytest.mark.parametrize("src", POOL_PRESETS, ids=_preset_id)
+def test_is_multiplicative_matches_all_pairs_oracle(src):
+    g = preset(*src)
+    tree = groups._bfs_tree(g.table, g.identity, g.generators)
+    for tgt in SMALL_TARGETS:
+        b = preset(*tgt)
+        verdicts = set()
+        for assignment in itertools.product(range(b.order), repeat=len(g.generators)):
+            images = groups._extend_gen_images(g, tree, assignment, b)
+            fast = groups._is_multiplicative(g, b, images)
+            if fast != oracles.is_multiplicative_all_pairs(g, b, images):
+                raise AssertionError(f"{g.name} -> {b.name} at {assignment}: generator check says {fast}")
+            verdicts.add(fast)
+            if fast:
+                np.testing.assert_array_equal(GroupHom(g, b, images).images, images)
+            else:
+                with pytest.raises(ValueError, match="not multiplicative"):
+                    GroupHom(g, b, images)
+        # the trivial map is always a homomorphism
+        if True not in verdicts:
+            raise AssertionError(f"no homomorphism {g.name} -> {b.name} was accepted")
+
+
+@pytest.mark.parametrize("src", POOL_PRESETS, ids=_preset_id)
+def test_is_normal_matches_all_conjugates_oracle(src):
+    g = preset(*src)
+    subs = list(normal_subgroups_within(g, whole_group(g)))
+    subs += [subgroup_closure(g, [x]) for x in g.elements()]
+    verdicts = set()
+    for sub in subs:
+        fast = sub.is_normal()
+        if fast != oracles.is_normal_all_conjugates(sub):
+            raise AssertionError(f"{sub.members} in {g.name}: generator check says {fast}")
+        verdicts.add(fast)
+    if src[0] in ("dihedral4", "heisenberg", "modular") and False not in verdicts:
+        raise AssertionError(f"{g.name} has a non-normal cyclic subgroup that was not seen")
+
+
+def test_fault_swapped_images_raise_in_grouphom(h27):
+    """A map built correctly along the BFS tree, then with two images swapped."""
+    data = quotient(h27, center(h27))
+    gens = h27.generators
+    tree = groups._bfs_tree(h27.table, h27.identity, gens)
+    images = groups._extend_gen_images(h27, tree, [data.projection(s) for s in gens], data.quotient)
+    np.testing.assert_array_equal(images, data.projection.images)
+    # the last two elements the tree reaches with different images
+    last = [elem for elem, _, _ in tree][::-1]
+    x = last[0]
+    y = next(z for z in last if images[z] != images[x])
+    images[[x, y]] = images[[y, x]]
+    if oracles.is_multiplicative_all_pairs(h27, data.quotient, images):
+        raise AssertionError("the swapped map should not be a homomorphism")
+    with pytest.raises(ValueError, match="not multiplicative"):
+        GroupHom(h27, data.quotient, images)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked all-pairs scans
+
+
+@pytest.fixture(scope="module")
+def z4x512():
+    """Z/4 × Z/512, order 2048: element (a, b) has index 512·a + b."""
+    return preset("direct_product", [("cyclic", [4]), ("cyclic", [512])])
+
+
+def _first_block_rows(width: int) -> int:
+    return groups._BLOCK_CELLS // width
+
+
+def test_fault_corrupted_cell_in_later_block_rejected(z4x512):
+    g = z4x512
+    n = g.order
+    step = _first_block_rows(n)
+    x = n - 1
+    # the rows where Light's test can see row x: x itself and x·s⁻¹ per generator s
+    seen_at = [x] + [g.mul(x, g.inv(s)) for s in g.generators]
+    if n * n <= groups._BLOCK_CELLS or min(seen_at) < step:
+        raise AssertionError("the corrupted row must lie past the first row block")
+    y1, y2 = [y for y in range(n) if y not in g.generators and g.mul(x, y) != g.identity][-2:]
+    bad = g.table.copy()
+    bad[x, [y1, y2]] = bad[x, [y2, y1]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup.from_table(bad, generators=g.generators)
+
+
+def test_fault_unclosed_members_in_later_block_rejected(z4x512):
+    g = z4x512
+    # {0} × Z/512 is closed; the coset {1} × Z/512 after it is not: (1,a)(1,b) = (2,a+b)
+    members = tuple(range(1024))
+    if _first_block_rows(len(members)) > 512:
+        raise AssertionError("the unclosed rows must lie past the first row block")
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        Subgroup(g, members)
+
+
+def test_blocked_scans_over_several_blocks(z4x512):
+    g = z4x512
+    # ⟨(2,0), (0,1)⟩ = {0, 2} × Z/512: 1024 members, a closure of several row blocks
+    sub = subgroup_closure(g, [1024, 1])
+    if len(sub.members) ** 2 <= groups._BLOCK_CELLS:
+        raise AssertionError("the closure must span several row blocks")
+    if sub.members != tuple(range(512)) + tuple(range(1024, 1536)):
+        raise AssertionError(f"wrong closure of order {sub.order}")
+    # the first 1024 indices are {0, 1} × Z/512: the rows of {0} × Z/512 stay
+    # inside it, and only the later rows reach (2, 0), which generates the rest
+    if subgroup_closure(g, range(1024)).order != g.order:
+        raise AssertionError("the closure must reach the whole group")
+    # [G, G] of sharp(2,4), order 1024, is the central ⟨[σ₁, σ₂]⟩ of order 4
+    model = free_level3(2, 4)
+    G = whole_group(model.group)
+    comm = commutator_subgroup(model.group, G, G)
+    if comm.members != subgroup_closure(model.group, model.commutator_central).members or comm.order != 4:
+        raise AssertionError(f"wrong commutator subgroup of order {comm.order}")
+
+
+def test_blocked_commutators_past_the_central_first_rows(d4):
+    """D4 × Z/256: the first 256 indices are central, so the first row blocks give no commutator."""
+    g = direct_product(d4, preset("cyclic", [256]))
+    if not all(g.commutator(x, y) == g.identity for x in range(_first_block_rows(g.order)) for y in g.generators):
+        raise AssertionError("the first row block must be central")
+    comm = commutator_subgroup(g, whole_group(g), whole_group(g))
+    expected = tuple(256 * x for x in commutator_subgroup(d4, whole_group(d4), whole_group(d4)).members)
+    if comm.members != expected:
+        raise AssertionError(f"wrong commutator subgroup {comm.members}")
+
+
+# ---------------------------------------------------------------------------
 # isomorphism testing
 
 
@@ -408,6 +578,7 @@ def test_memo_returns_the_same_series_and_orders():
     g = preset("heisenberg", [3])
     assert q_central_series(g, 3) is q_central_series(g, 3)
     assert element_orders(g) is element_orders(g)
+    assert whole_group(g) is whole_group(g)
     # a fresh group with the same table computes its own
     twin = FiniteGroup.from_table(g.table)
     assert q_central_series(twin, 3) is not q_central_series(g, 3)
