@@ -19,10 +19,13 @@ Three solver ideas keep everything exact while scaling past tiny groups:
   result is a |S|-unknown linear solve no matter the group order.  A stack of
   k twists with unknown coefficients y gives an |S|+k-unknown system whose
   kernel is exactly the set of combinations Σ yᵢ·cᵢ that are coboundaries.
-* Full H² only ever runs on small groups (quotients): entries c(x, s) for
-  s ∈ S are the unknowns, every other entry is an affine functional of them
-  via c(x, ys) = c(x,y) + c(xy,s) − c(y,s), and the generator-slice triples
-  are the constraint system.
+* Full H² comes from a pc presentation (Holt–Eick–O'Brien, *Handbook of
+  Computational Group Theory*, ch. 8–9).  A class is a vector of tails on
+  the N(N+1)/2 pc relations; the consistent tails are the kernel of an
+  n·N(N+1)/2 × N(N+1)/2 system.  Each tails cocycle then moves to the frame
+  that classes are compared in: its values c(x, s) on the solver
+  generators ("v-vector"), which determine every other entry by
+  c(x, ys) = c(x,y) + c(xy,s) − c(y,s) along the BFS tree.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ import numpy as np
 from qcoh.groups import (
     FiniteGroup,
     GroupHom,
+    PcPresentation,
     QuotientData,
     Subgroup,
-    _bfs_tree,
+    _generator_tree,
     _memoized,
+    pc_presentation,
     q_central_series,
     quotient,
     subgroup_as_group,
@@ -110,16 +115,8 @@ def _solver_gens(group: FiniteGroup) -> tuple[int, ...]:
 
 
 def _solver_tree(group: FiniteGroup) -> np.ndarray:
-    """Read-only 3×m rows (element, parent, generator position) of the BFS tree
-    over the solver generators, element = parent·gens[position]; kept on the group."""
-
-    def build() -> np.ndarray:
-        tree = _bfs_tree(group.table, group.identity, _solver_gens(group))
-        arr = np.array(tree, dtype=np.int64).reshape(-1, 3).T
-        arr.flags.writeable = False
-        return arr
-
-    return _memoized(group, ("solver_tree",), build)
+    """The BFS tree over the solver generators, as :func:`qcoh.groups._generator_tree` keeps it."""
+    return _generator_tree(group, _solver_gens(group))
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +478,8 @@ def _h1(group: FiniteGroup, q: int) -> H1Space:
     basis = []
     for row in basis_rows:
         chi = Cochain1(group, q, coeff @ row)
-        assert chi.is_cocycle()
+        if not chi.is_cocycle():
+            raise AssertionError("an H¹ basis element is not a homomorphism")
         basis.append(chi)
     gen_values = np.array([chi.values[list(gens)] for chi in basis], dtype=np.int64).reshape(len(basis), len(gens))
     gen_values.flags.writeable = False
@@ -679,53 +677,132 @@ def transgression(
 
 
 # --------------------------------------------------------------------------
-# H² via the reduced-variable cocycle solver
+# H² from consistent pc tails, in the canonical v-space frame
 
 
-def _h2_linear_forms(group: FiniteGroup, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """L[x, y, :] with c(x, y) = L[x,y]·v for the variables v = c(·, s∈gens)."""
-    gens = _solver_gens(group)
-    n = group.order
-    d = len(gens)
-    nv = n * d
-    L = np.zeros((n, n, nv), dtype=np.int64)
-    xs = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    seen[group.identity] = True
-    for k, s in enumerate(gens):
-        if not seen[s]:
-            L[xs, s, xs * d + k] = 1
-            seen[s] = True
-    for w, y, k in _solver_tree(group).T.tolist():
-        if seen[w]:
-            continue
-        seen[w] = True
-        s = gens[k]
-        xy = group.table[:, y]
-        L[:, w, :] = L[:, y, :]
-        L[xs, w, xy * d + k] += 1
-        L[:, w, y * d + k] -= 1
-        L[:, w, :] %= q
-    return L, gens
+def _tail_index(big_n: int) -> np.ndarray:
+    """index[i, j] for i ≤ j: the position of relation (i, j) among the N(N+1)/2 tails."""
+    index = np.full((big_n, big_n), -1, dtype=np.int64)
+    upper = np.triu_indices(big_n)
+    index[upper] = np.arange(upper[0].size)
+    return index
 
 
-def _h2_constraint_rows(group: FiniteGroup, q: int, L: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
-    n = group.order
-    d = len(gens)
-    nv = n * d
-    xs = np.arange(n)
-    blocks = [np.eye(nv, dtype=np.int64)[[group.identity * d + k for k in range(d)]]]
-    for k, s in enumerate(gens):
-        ws = group.table[:, s]
-        for y in range(n):
-            w = int(ws[y])
-            rows = (L[:, w, :] - L[:, y, :]).copy()
-            rows[:, y * d + k] += 1
-            xy = group.table[:, y]
-            rows[xs, xy * d + k] -= 1
+def _letters(word: np.ndarray) -> list[int]:
+    """The normal word with exponent vector ``word``, one pc generator index per letter."""
+    return [m for m in range(word.size) for _ in range(int(word[m]))]
+
+
+def _path_forms(pc: PcPresentation, forms: np.ndarray, letters: Sequence[int], start: np.ndarray) -> np.ndarray:
+    """P(w; y) for each y in ``start``: the sum of v(·, m) along the letters m of w from y."""
+    t = pc.group.table
+    acc = np.zeros((start.size, forms.shape[2]), dtype=np.int64)
+    cur = start
+    for m in letters:
+        acc += forms[m, cur]
+        cur = t[cur, pc.gens[m]]
+    return acc
+
+
+def _tail_forms(pc: PcPresentation, q: int) -> np.ndarray:
+    """forms[i, x]: v(x, i) = c(x, g_i) as a linear form in the N(N+1)/2 tails.
+
+    c is the cocycle of the normal-word section σ of the central extension
+    with lifts ĝ_i and relations ĝ_i^{r_i} = ŵ_ii·z^{t_ii}, ĝ_i⁻¹ĝ_jĝ_i = ŵ_ij·z^{t_ij}.
+    Where σ(x)·ĝ_i is again a normal word, v(x, i) = 0.  Where x ends in
+    g_i^{r_i−1}, the power relation closes the word.  Where x ends in g_k
+    with k > i, ĝ_kĝ_i = ĝ_iŵ_ik·z^{t_ik} moves ĝ_i left.  Only v(·, m) for
+    m > i enter the path sums, so i runs from N down to 1.
+    """
+    group = pc.group
+    t = group.table
+    n, big_n = group.order, pc.length
+    tails = _tail_index(big_n)
+    forms = np.zeros((big_n, n, big_n * (big_n + 1) // 2), dtype=np.int64)
+    exps = pc.exponents
+    # last(x): the index of x's last nonzero exponent, −1 at the identity
+    last = np.where(exps != 0, np.arange(big_n), -1).max(axis=1, initial=-1)
+    for i in reversed(range(big_n)):
+        g, r = pc.gens[i], pc.rel_orders[i]
+        v = forms[i]
+        # x = y·g_i^{r_i−1}: σ(x)·ĝ_i = σ(y)·ŵ_ii·z^{t_ii}
+        top = np.flatnonzero((last == i) & (exps[:, i] == r - 1))
+        v[top] = _path_forms(pc, forms, _letters(pc.power_words[i]), t[top, group.power(g, 1 - r)])
+        v[top, tails[i, i]] += 1
+        # x = x'·g_k, k = last(x) > i: σ(x)·ĝ_i = σ(x')·ĝ_i·ŵ_ik·z^{t_ik}
+        for k in range(i + 1, big_n):
+            word = _letters(pc.conj_words[i, k])
+            prev = np.flatnonzero(last < k)
+            for _ in range(pc.rel_orders[k] - 1):
+                cur = t[prev, pc.gens[k]]
+                v[cur] = v[prev] + _path_forms(pc, forms, word, t[prev, g])
+                v[cur, tails[i, k]] += 1
+                prev = cur
+        v %= q
+    return forms
+
+
+def _consistent_tails(pc: PcPresentation, forms: np.ndarray, q: int) -> np.ndarray:
+    """Rows generating Z_t, the tails whose extension is consistent.
+
+    The tails are consistent exactly when every relator's path sum from every
+    element x equals its tail: then the lifts act on Z/q × G, and the group
+    they generate has order q·|G|.  That is n·N(N+1)/2 rows on N(N+1)/2 columns.
+    """
+    big_n = pc.length
+    tails = _tail_index(big_n)
+    xs = np.arange(pc.group.order)
+    blocks = []
+    for i in range(big_n):
+        for j in range(i, big_n):
+            if i == j:
+                lhs, rhs = [i] * pc.rel_orders[i], _letters(pc.power_words[i])
+            else:
+                lhs, rhs = [j, i], [i] + _letters(pc.conj_words[i, j])
+            rows = _path_forms(pc, forms, lhs, xs) - _path_forms(pc, forms, rhs, xs)
+            rows[:, tails[i, j]] -= 1
             blocks.append(rows % q)
-    stacked = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    return stacked[stacked.any(axis=1)]
+    m = forms.shape[2]
+    rows = np.unique(np.concatenate(blocks), axis=0) if blocks else np.zeros((0, m), dtype=np.int64)
+    rows = rows[rows.any(axis=1)]
+    return kernel(ZqMatrix(rows, q)).entries if rows.size else np.eye(m, dtype=np.int64)
+
+
+def _lift_change_tails(pc: PcPresentation, q: int) -> np.ndarray:
+    """Rows generating B_t: the tail changes from replacing each lift ĝ_m by ĝ_m·z.
+
+    With ĝ_i ↦ ĝ_i·z^{a_i}, Δt_ii = r_i·a_i − a·exps(w_ii) and
+    Δt_ij = a_j − a·exps(w_ij).
+    """
+    big_n = pc.length
+    tails = _tail_index(big_n)
+    rows = np.zeros((big_n, big_n * (big_n + 1) // 2), dtype=np.int64)
+    for i in range(big_n):
+        rows[i, tails[i, i]] += pc.rel_orders[i]
+        rows[:, tails[i, i]] -= pc.power_words[i]
+        for j in range(i + 1, big_n):
+            rows[j, tails[i, j]] += 1
+            rows[:, tails[i, j]] -= pc.conj_words[i, j]
+    return rows % q
+
+
+def _expand_v(group: FiniteGroup, q: int, vrows: np.ndarray) -> np.ndarray:
+    """Value tables (b, n, n) of the 2-cochains with the given v-vectors.
+
+    Columns of the solver generators are the v-vector; every other column
+    follows the solver tree by c(x, y·s) = c(x, y) + c(x·y, s) − c(y, s).
+    """
+    gens = _solver_gens(group)
+    n, d = group.order, len(gens)
+    v = np.asarray(vrows, dtype=np.int64).reshape(len(vrows), n, d)
+    out = np.zeros((v.shape[0], n, n), dtype=np.int64)
+    t = group.table
+    for w, y, k in _solver_tree(group).T.tolist():
+        if y == group.identity:
+            out[:, :, w] = v[:, :, k]
+        else:
+            out[:, :, w] = (out[:, :, y] + v[:, t[:, y], k] - v[:, y, k][:, None]) % q
+    return out
 
 
 def _coboundary_rows(group: FiniteGroup, q: int, gens: tuple[int, ...]) -> np.ndarray:
@@ -757,7 +834,6 @@ class H2Space:
     gens: tuple[int, ...]
     basis: tuple[Cochain2, ...]
     invariant_factors: tuple[int, ...]
-    _forms: np.ndarray
     _basis_v: np.ndarray
     _cob_v: np.ndarray
     _cob_howell: HowellForm
@@ -802,8 +878,10 @@ class H2Space:
 
 
 def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
-    """Full H²(G, Z/q) by the reduced-variable solver.  Guarded by ``cap``.
+    """Full H²(G, Z/q) of a solvable group.  Guarded by ``cap``.
 
+    Z² comes from the consistent tails of :func:`qcoh.groups.pc_presentation`
+    and is then written in the canonical v-space frame of :class:`H2Space`.
     Computed once per q and kept on the group; ``cap`` is checked on every call.
     """
     if group.order > cap:
@@ -811,47 +889,76 @@ def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
     return _memoized(group, ("h2", q), lambda: _h2(group, q))
 
 
-def _h2(group: FiniteGroup, q: int) -> H2Space:
+def _cocycle_span(group: FiniteGroup, q: int, cob: np.ndarray, cob_h: HowellForm) -> HowellForm:
+    """Z² in the v-space frame, from consistent pc tails.
+
+    Every cocycle is a tails cocycle plus a coboundary, so the Howell form of
+    the tails cocycles' v-vectors and the coboundary rows ``cob`` is the
+    canonical generating set of Z².  ``cob_h`` is the Howell form of ``cob``.
+    """
     n = group.order
-    L, gens = _h2_linear_forms(group, q)
-    constraints = _h2_constraint_rows(group, q, L, gens)
-    if constraints.size:
-        zrows = kernel(ZqMatrix(constraints, q)).entries
-    else:
-        zrows = np.eye(n * len(gens), dtype=np.int64)
+    gens = _solver_gens(group)
+    pc = pc_presentation(group)
+    forms = _tail_forms(pc, q)
+    z_tails = _consistent_tails(pc, forms, q)
+    # c(x, s) = P(word(s); x) takes each consistent tail vector to its v-vector
+    xs = np.arange(n)
+    gen_forms = np.zeros((n, len(gens), forms.shape[2]), dtype=np.int64)
+    for k, s in enumerate(gens):
+        gen_forms[:, k] = _path_forms(pc, forms, _letters(pc.exponents[s]), xs)
+    tails_v = (z_tails @ gen_forms.reshape(n * len(gens), forms.shape[2]).T) % q
+    for vals in _expand_v(group, q, tails_v):
+        if not Cochain2(group, q, vals).is_cocycle():
+            raise AssertionError("a consistent tail vector gave a non-cocycle")
+    z2_h = howell_form(ZqMatrix(np.concatenate([tails_v, cob], axis=0), q))
+    # H² ≅ Z_t/B_t: the tails count the classes a second time
+    z_h = howell_form(ZqMatrix(z_tails, q))
+    b_tails = _lift_change_tails(pc, q)
+    if not all(row_span_contains(z_h, row) for row in b_tails):
+        raise AssertionError("a lift change gave inconsistent tails")
+    by_tails = row_span_size(z_h) // row_span_size(howell_form(ZqMatrix(b_tails, q)))
+    if by_tails != row_span_size(z2_h) // row_span_size(cob_h):
+        raise AssertionError("|Z_t/B_t| disagrees with |Z²/B²|")
+    return z2_h
+
+
+def _h2(group: FiniteGroup, q: int) -> H2Space:
+    gens = _solver_gens(group)
     cob = _coboundary_rows(group, q, gens)
     cob_h = howell_form(ZqMatrix(cob, q))
-    # relations of the quotient Z²/B² in terms of the kernel generators
+    z2_h = _cocycle_span(group, q, cob, cob_h)
+    zrows = z2_h.matrix.entries
+    # relations of the quotient Z²/B² in terms of the Z² generators
     stacked = np.concatenate([zrows, cob], axis=0)
     left = kernel(ZqMatrix(stacked.T, q)).entries
     mu = left[:, : zrows.shape[0]]
     pres = AbGroupPresentation.from_relations(zrows.shape[0], q, mu)
     basis_v = (pres.basis_images.entries @ zrows) % q
-    flat_forms = L.reshape(n * n, -1)
-    for arr in (flat_forms, basis_v, cob):
+    for arr in (basis_v, cob):
         arr.flags.writeable = False
     basis = []
-    for row in basis_v:
-        c = Cochain2(group, q, (flat_forms @ row).reshape(n, n))
-        assert c.is_cocycle()
+    for vals in _expand_v(group, q, basis_v):
+        c = Cochain2(group, q, vals)
+        if not c.is_cocycle():
+            raise AssertionError("an H² basis representative is not a cocycle")
         basis.append(c)
     p, _ = factor_prime_power(q)
     for c, f in zip(basis, pres.invariant_factors):
-        sub = c.scale(f // p)
-        assert is_coboundary(sub) is None, "basis class has smaller order than claimed"
+        if is_coboundary(c.scale(f // p)) is not None:
+            raise AssertionError("an H² basis class has smaller order than claimed")
     space = H2Space(
         group=group,
         modulus=q,
         gens=gens,
         basis=tuple(basis),
         invariant_factors=pres.invariant_factors,
-        _forms=flat_forms,
         _basis_v=basis_v,
         _cob_v=cob,
         _cob_howell=cob_h,
     )
-    expected = row_span_size(howell_form(ZqMatrix(stacked, q))) // row_span_size(cob_h)
-    assert space.order == expected, "presentation order disagrees with span count"
+    # with the |Z_t/B_t| check of _cocycle_span, the tails count agrees too
+    if space.order != row_span_size(z2_h) // row_span_size(cob_h):
+        raise AssertionError("H² presentation order disagrees with the span count")
     return space
 
 

@@ -73,7 +73,7 @@ from .groups import (
     trivial_subgroup,
     whole_group,
 )
-from .groups import _bfs_tree, _extend_gen_images, _is_multiplicative
+from .groups import _extend_gen_images, _generator_tree, _is_multiplicative
 from .zqlin import (
     AbGroupPresentation,
     PairingReport,
@@ -786,7 +786,7 @@ def _lift_kernel_mask(
     gens = list(group.generators)
     if ext.modulus ** len(gens) > SEARCH_CAP:
         raise ValueError("lift enumeration too large")
-    tree = _bfs_tree(group.table, group.identity, gens)
+    tree = _generator_tree(group, gens).T.tolist()
     pi = data.projection.images
     m = ext.base.order
     fibers = [

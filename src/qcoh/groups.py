@@ -18,11 +18,16 @@ group rather than sorted and deduplicated.  Verbal subgroups
 of the relevant subgroups and then closing — generator-only scans are a
 known trap there and are deliberately avoided.
 
+A solvable group also has a pc presentation (:func:`pc_presentation`): the
+derived series refined into steps of prime index, each element's exponent
+vector, and the power and conjugate relations, read off the table and
+proven to present the group.  :mod:`qcoh.cohomology` builds H² on it.
+
 Everything is immutable after construction and all operations are pure.
 Facts that depend only on a group and q (element orders, the q-central
-series, the whole group as a subgroup, and in :mod:`qcoh.cohomology` H¹, H²
-and the solver's BFS tree) are computed once and kept in a private
-per-group memo, freed with the group.
+series, the whole group as a subgroup, the pc presentation, the BFS tree
+over a generator tuple, and in :mod:`qcoh.cohomology` H¹ and H²) are
+computed once and kept in a private per-group memo, freed with the group.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "FibredProduct",
     "FiniteGroup",
     "GroupHom",
+    "PcPresentation",
     "QCentralSeries",
     "QuotientData",
     "Subgroup",
@@ -66,6 +72,7 @@ __all__ = [
     "is_isomorphic",
     "normal_subgroups_within",
     "order_profile",
+    "pc_presentation",
     "power_subgroup",
     "preset",
     "q_central_series",
@@ -90,13 +97,15 @@ def _find_identity(table: np.ndarray) -> int:
 
 
 def _find_inverses(table: np.ndarray, identity: int) -> np.ndarray:
+    """The right inverse of each row, found in row blocks; checked two-sided."""
     n = table.shape[0]
-    inv = np.full(n, -1, dtype=np.int64)
-    rows, cols = np.nonzero(table == identity)
-    for x, y in zip(rows, cols):
-        inv[x] = y
-    if (inv < 0).any():
-        raise ValueError("table has elements without inverses")
+    inv = np.empty(n, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        hit = table[lo : lo + step] == identity
+        if not hit.any(axis=1).all():
+            raise ValueError("table has elements without inverses")
+        inv[lo : lo + step] = hit.argmax(axis=1)
     back = table[inv, np.arange(n)]
     if not (back == identity).all():
         raise ValueError("table has one-sided inverses only")
@@ -279,7 +288,7 @@ class FiniteGroup:
         gen_names: Optional[Sequence[str]] = None,
         name: str = "G",
     ) -> "FiniteGroup":
-        t = np.asarray(table, dtype=np.int64)
+        t = np.ascontiguousarray(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("multiplication table must be square")
         e = _find_identity(t)
@@ -310,6 +319,19 @@ def _memoized(group: FiniteGroup, key: tuple, build: Callable[[], _T]) -> _T:
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+
+def _generator_tree(group: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
+    """Read-only 3×m rows (element, parent, generator position) of the BFS tree
+    over ``gens``, element = parent·gens[position]; kept on the group per ``gens``."""
+    key = tuple(int(g) for g in gens)
+
+    def build() -> np.ndarray:
+        arr = np.array(_bfs_tree(group.table, group.identity, key), dtype=np.int64).reshape(-1, 3).T
+        arr.flags.writeable = False
+        return arr
+
+    return _memoized(group, ("bfs_tree", key), build)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +572,132 @@ def _q_central_series(group: FiniteGroup, q: int, depth: Optional[int]) -> QCent
 
 
 # ---------------------------------------------------------------------------
+# polycyclic presentations
+
+
+@dataclass(frozen=True, eq=False)
+class PcPresentation:
+    """A polycyclic presentation of a solvable group, read off its table.
+
+    The pc generators g_1…g_N (``gens[i]`` is g_{i+1}) refine the derived
+    series into steps of prime index: G_i = ⟨g_i, …, g_N⟩ is normal in
+    G_{i−1} with |G_i : G_{i+1}| = r_i (``rel_orders``).  Every element is
+    g_1^{e_1}···g_N^{e_N} for exactly one exponent vector with 0 ≤ e_i < r_i;
+    ``exponents[x]`` holds it.  The relations are g_i^{r_i} = w_ii and
+    g_i⁻¹g_jg_i = w_ij for j > i; ``power_words[i]`` and ``conj_words[i, j]``
+    are the exponent vectors of those normal words, which involve only
+    g_{i+1}, …, g_N (``conj_words[i, j]`` is zero for j ≤ i).
+
+    Construction proves that these relations present the group: Π r_i = |G|,
+    the exponent map is a bijection onto Π [0, r_i), and every relation's
+    normal word evaluates to its table element.  Collection then bounds the
+    presented group's order by Π r_i, and G is a quotient of it.
+    """
+
+    group: FiniteGroup
+    gens: tuple[int, ...]
+    rel_orders: tuple[int, ...]
+    exponents: np.ndarray
+    power_words: np.ndarray
+    conj_words: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return len(self.gens)
+
+
+def pc_presentation(group: FiniteGroup) -> PcPresentation:
+    """The pc presentation of a solvable ``group``, built once and kept on the group.
+
+    Raises ValueError for a group that is not solvable.
+    """
+    return _memoized(group, ("pc_presentation",), lambda: _pc_presentation(group))
+
+
+def _least_prime_factor(m: int) -> int:
+    r = 2
+    while m % r:
+        r += 1
+    return r
+
+
+def _pc_presentation(group: FiniteGroup) -> PcPresentation:
+    t = group.table
+    n = group.order
+    e = group.identity
+    derived = [whole_group(group)]
+    while not derived[-1].is_trivial():
+        nxt = commutator_subgroup(group, derived[-1], derived[-1])
+        if nxt.order == derived[-1].order:
+            raise ValueError(
+                f"{group.name} is not solvable: its derived series stops at a perfect "
+                f"subgroup of order {nxt.order}, so it has no pc presentation"
+            )
+        derived.append(nxt)
+
+    # bottom up: H runs from 1 to G through subgroups each normal in the next,
+    # every step adjoining an element of prime order modulo H
+    inside = np.zeros(n, dtype=bool)
+    inside[e] = True
+    added: list[int] = []
+    orders: list[int] = []
+    for term in reversed(derived[:-1]):
+        while True:
+            outside = np.flatnonzero(term.mask & ~inside)
+            if outside.size == 0:
+                break
+            x = int(outside[0])
+            m, cur = 1, x
+            while not inside[cur]:
+                cur, m = int(t[cur, x]), m + 1
+            r = _least_prime_factor(m)
+            y = group.power(x, m // r)
+            # y normalizes H (D_k/D_{k+1} is abelian), so H⟨y⟩ = ∪ yᵉH
+            members = np.flatnonzero(inside)
+            cur = y
+            for _ in range(r - 1):
+                inside[t[cur, members]] = True
+                cur = int(t[cur, y])
+            added.append(y)
+            orders.append(r)
+    gens = tuple(reversed(added))
+    rel = tuple(reversed(orders))
+    big_n = len(gens)
+
+    if int(np.prod(rel, dtype=np.int64)) != n:
+        raise AssertionError("relative orders of the pc sequence must multiply to |G|")
+    # elements[code] = g_1^{e_1}·(g_2^{e_2}·(···)), code = Σ e_i·stride_i
+    elements = np.array([e], dtype=np.int64)
+    strides = np.ones(big_n, dtype=np.int64)
+    for i in reversed(range(big_n)):
+        strides[i] = elements.size
+        powers = [e]
+        for _ in range(rel[i] - 1):
+            powers.append(int(t[powers[-1], gens[i]]))
+        elements = t[np.array(powers)[:, None], elements[None, :]].reshape(-1)
+    code = np.full(n, -1, dtype=np.int64)
+    code[elements] = np.arange(n)
+    if (code < 0).any():
+        raise AssertionError("normal words must reach every element exactly once")
+    exps = (code[:, None] // strides[None, :]) % np.array(rel, dtype=np.int64)
+
+    garr = np.array(gens, dtype=np.int64)
+    power_targets = np.array([group.power(g, r) for g, r in zip(gens, rel)], dtype=np.int64)
+    power_words = exps[power_targets].reshape(big_n, big_n)
+    conj_targets = t[t[group.inverses[garr][:, None], garr[None, :]], garr[:, None]]
+    conj_words = exps[conj_targets].reshape(big_n, big_n, big_n)
+    later = np.triu(np.ones((big_n, big_n), dtype=bool), k=1)  # [i, m]: m > i
+    conj_words = conj_words * later[:, :, None]
+    # each word is read through the bijection, so it evaluates to its table
+    # element; it must also involve only the generators after g_i
+    if (power_words * ~later).any() or (conj_words * ~later[:, None, :]).any():
+        raise AssertionError("pc relations must be words in the later generators")
+    for arr in (exps, power_words, conj_words):
+        arr.flags.writeable = False
+    return PcPresentation(group, gens, rel, exps, power_words, conj_words)
+
+
+# ---------------------------------------------------------------------------
 # homomorphisms and quotients
 
 
@@ -664,7 +812,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientData:
 
 def _extend_gen_images(
     source: FiniteGroup,
-    tree: list[tuple[int, int, int]],
+    tree: Sequence[Sequence[int]],
     assignment: Sequence[int],
     target: FiniteGroup,
 ) -> np.ndarray:
@@ -701,7 +849,7 @@ def enumerate_homs(
     candidates = [
         [int(b) for b in np.flatnonzero(src_orders[g] % tgt_orders == 0)] for g in gens
     ]
-    tree = _bfs_tree(source.table, source.identity, gens)
+    tree = _generator_tree(source, gens).T.tolist()
     out = []
     for assignment in itertools.product(*candidates):
         images = _extend_gen_images(source, tree, assignment, target)
@@ -734,7 +882,7 @@ def is_isomorphic(left: FiniteGroup, right: FiniteGroup) -> bool:
         return False
 
     gens = list(left.generators)
-    tree = _bfs_tree(left.table, left.identity, gens)
+    tree = _generator_tree(left, gens).T.tolist()
     src_orders = element_orders(left)
     tgt_orders = element_orders(right)
     candidates = [

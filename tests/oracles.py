@@ -11,8 +11,10 @@ import itertools
 
 import numpy as np
 
-from qcoh.cohomology import Cochain1, _coboundary_rows, _solver_gens, bockstein, cup11, is_coboundary
-from qcoh.zqlin import ZqMatrix, howell_form, kernel, row_span_contains
+from qcoh.cohomology import Cochain1, _coboundary_rows, _solver_gens, _solver_tree, bockstein, cup11, is_coboundary
+from qcoh.freemodel import free_level3
+from qcoh.groups import FiniteGroup, preset, q_central_series, quotient
+from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains
 
 
 def all_vectors(q: int, n: int):
@@ -361,3 +363,166 @@ def inflation_iso_lattice(source, q: int, images, target_gens, own_gens) -> tupl
     span = howell_form(ZqMatrix(np.concatenate([pulled, cob], axis=0), q))
     surj = all(row_span_contains(span, c.values[:, gens].reshape(-1)) for c in own_gens)
     return bool(mono), surj
+
+
+def h2_linear_forms(group, q: int):
+    """L[x, y, :] with c(x, y) = L[x,y]·v for the variables v = c(·, s∈gens)."""
+    gens = _solver_gens(group)
+    n = group.order
+    d = len(gens)
+    nv = n * d
+    L = np.zeros((n, n, nv), dtype=np.int64)
+    xs = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    seen[group.identity] = True
+    for k, s in enumerate(gens):
+        if not seen[s]:
+            L[xs, s, xs * d + k] = 1
+            seen[s] = True
+    for w, y, k in _solver_tree(group).T.tolist():
+        if seen[w]:
+            continue
+        seen[w] = True
+        xy = group.table[:, y]
+        L[:, w, :] = L[:, y, :]
+        L[xs, w, xy * d + k] += 1
+        L[:, w, y * d + k] -= 1
+        L[:, w, :] %= q
+    return L, gens
+
+
+def h2_constraint_rows(group, q: int, L, gens):
+    """The generator-slice cocycle conditions on v, n²·|S| rows before deduplication."""
+    n = group.order
+    d = len(gens)
+    nv = n * d
+    xs = np.arange(n)
+    blocks = [np.eye(nv, dtype=np.int64)[[group.identity * d + k for k in range(d)]]]
+    for k, s in enumerate(gens):
+        ws = group.table[:, s]
+        for y in range(n):
+            w = int(ws[y])
+            rows = (L[:, w, :] - L[:, y, :]).copy()
+            rows[:, y * d + k] += 1
+            xy = group.table[:, y]
+            rows[xs, xy * d + k] -= 1
+            blocks.append(rows % q)
+    stacked = np.unique(np.concatenate(blocks, axis=0), axis=0)
+    return stacked[stacked.any(axis=1)]
+
+
+def h2_cocycle_lattice(group, q: int):
+    """H² by the reduced-variable cocycle lattice: (zrows, invariant factors, basis v-vectors, basis values).
+
+    The reference route: Z² is the kernel of every generator-slice cocycle
+    condition on the n·|S| values c(x, s), and each basis cochain is read
+    off the n×n×(n·|S|) tensor of linear forms.
+    """
+    n = group.order
+    L, gens = h2_linear_forms(group, q)
+    constraints = h2_constraint_rows(group, q, L, gens)
+    zrows = kernel(ZqMatrix(constraints, q)).entries if constraints.size else np.eye(n * len(gens), dtype=np.int64)
+    cob = _coboundary_rows(group, q, gens)
+    stacked = np.concatenate([zrows, cob], axis=0)
+    mu = kernel(ZqMatrix(stacked.T, q)).entries[:, : zrows.shape[0]]
+    pres = AbGroupPresentation.from_relations(zrows.shape[0], q, mu)
+    basis_v = (pres.basis_images.entries @ zrows) % q
+    values = [(L.reshape(n * n, -1) @ row).reshape(n, n) % q for row in basis_v]
+    return zrows, pres.invariant_factors, basis_v, values
+
+
+def pc_word_value(group, gens, word) -> int:
+    """g_1^{e_1}·g_2^{e_2}···g_N^{e_N}, multiplied out left to right in the table."""
+    acc = group.identity
+    for g, e in zip(gens, word):
+        for _ in range(int(e)):
+            acc = int(group.table[acc, g])
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the small solvable groups that the pc-tails route is pinned on
+
+
+def relabeled(group, seed: int):
+    """A copy of ``group`` whose non-identity elements are renamed by a seeded permutation."""
+    n = group.order
+    perm = np.arange(n)
+    others = np.delete(perm, group.identity)
+    perm[others] = np.random.default_rng(seed).permutation(others)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    table = perm[group.table[np.ix_(inv, inv)]]
+    gens = [int(perm[g]) for g in group.generators]
+    return FiniteGroup.from_table(table, generators=gens, name=f"{group.name}~")
+
+
+def _model(d: int, q: int, variant: str, term=None):
+    def build():
+        g = free_level3(d, q, variant).group
+        if term is None:
+            return g
+        series = q_central_series(g, q)
+        sub = series.lower3 if term == "lower3" else series.term(2)
+        return quotient(g, sub).quotient
+
+    return build
+
+
+def _small_solvable():
+    out = [("trivial", lambda: FiniteGroup.from_table([[0]], name="1"), (2, 3))]
+    presets = [
+        ("Z2", "cyclic", [2], (2,)),
+        ("Z4", "cyclic", [4], (2, 4)),
+        ("Z6", "cyclic", [6], (2, 3)),
+        ("Z8", "cyclic", [8], (2, 4)),
+        ("Z9", "cyclic", [9], (3,)),
+        ("Z16", "cyclic", [16], (2,)),
+        ("Z25", "cyclic", [25], (5,)),
+        ("Z64", "cyclic", [64], (2,)),
+        ("(Z2)^2", "elementary_abelian", [2, 2], (2, 4)),
+        ("(Z2)^3", "elementary_abelian", [2, 3], (2,)),
+        ("(Z3)^2", "elementary_abelian", [3, 2], (3,)),
+        ("(Z4)^2", "elementary_abelian", [4, 2], (2, 4)),
+        ("(Z5)^2", "elementary_abelian", [5, 2], (5,)),
+        ("(Z2)^5", "elementary_abelian", [2, 5], (2,)),
+        ("(Z2)^6", "elementary_abelian", [2, 6], (2,)),
+        ("H27", "heisenberg", [3], (3, 9)),
+        ("M27", "modular", [3], (3,)),
+        ("D4", "dihedral4", [], (2, 4)),
+        ("Q8", "quaternion8", [], (2, 4)),
+        ("D4xZ2", "direct_product", [("dihedral4",), ("cyclic", [2])], (2,)),
+        ("Q8xZ3", "direct_product", [("quaternion8",), ("cyclic", [3])], (2, 3)),
+    ]
+    for label, name, params, qs in presets:
+        out.append((label, lambda name=name, params=params: preset(name, params), qs))
+    # (variant, d, q, the nontrivial subgroups to divide out)
+    models = [
+        ("sharp", 1, 2, ("term2",)),
+        ("sharp", 1, 3, ("term2",)),
+        ("sharp", 1, 4, ("term2", "lower3")),
+        ("sharp", 1, 5, ("term2",)),
+        ("sharp", 1, 7, ("term2",)),
+        ("sharp", 1, 8, ("term2", "lower3")),
+        ("sharp", 2, 2, ("term2",)),
+        ("flat", 1, 2, ("term2",)),
+        ("flat", 1, 3, ()),
+        ("flat", 1, 4, ("term2",)),
+        ("flat", 1, 5, ()),
+        ("flat", 1, 7, ()),
+        ("flat", 1, 8, ("term2",)),
+        ("flat", 2, 2, ("term2",)),
+        ("flat", 2, 3, ("term2",)),
+    ]
+    for variant, d, q, terms in models:
+        out.append((f"{variant}({d},{q})", _model(d, q, variant), (q,)))
+        for term in terms:
+            out.append((f"{variant}({d},{q})/{term}", _model(d, q, variant, term), (q,)))
+    return tuple(out)
+
+
+#: (label, builder, moduli): every preset kind of order ≤ 64 (Z/6 and Q8 × Z/3
+#: are not p-groups), the sharp and flat models of order ≤ 64 and their
+#: quotients by the nontrivial ones of term 2 and the level-3 refinement, and
+#: the trivial group.
+SMALL_SOLVABLE = _small_solvable()

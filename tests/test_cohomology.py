@@ -1,8 +1,9 @@
 """Cohomology layer tests.
 
-The reduced-variable H² solver is pinned against the all-triples brute-force
-oracle, and everything class-level is double-checked through coboundary
-tests, which run on a completely separate (degree-1) solver path.
+The pc-tails H² solver is pinned against the all-triples brute-force oracle
+and, byte for byte, against the cocycle-lattice route it replaced.
+Everything class-level is double-checked through coboundary tests, which run
+on a completely separate (degree-1) solver path.
 """
 
 import gc
@@ -45,11 +46,13 @@ from qcoh.cohomology import (
     zero1,
     zero2,
 )
+from qcoh import cohomology
 from qcoh.cohomology import _solver_tree
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
     center,
     is_isomorphic,
+    pc_presentation,
     preset,
     q_central_series,
     quotient,
@@ -962,6 +965,55 @@ def test_five_term_level2_guard(d4):
 
 
 # ---------------------------------------------------------------------------
+# H² from pc tails against the cocycle-lattice oracle
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabeled"])
+@pytest.mark.parametrize("label,build,qs", oracles.SMALL_SOLVABLE, ids=[c[0] for c in oracles.SMALL_SOLVABLE])
+def test_h2_tails_oracle_matches_cocycle_lattice(label, build, qs, relabel):
+    """Same Z² generators, invariant factors, _basis_v bytes and basis cochains."""
+    g = oracles.relabeled(build(), seed=len(label)) if relabel else build()
+    for q in qs:
+        space = h2(g, q)
+        zrows, factors, basis_v, values = oracles.h2_cocycle_lattice(g, q)
+        ours = cohomology._cocycle_span(g, q, space._cob_v, space._cob_howell).matrix.entries
+        if ours.shape != zrows.shape or ours.tobytes() != zrows.tobytes():
+            raise AssertionError(f"{label}, q = {q}: Z² generators differ from the lattice kernel")
+        if space.invariant_factors != factors:
+            raise AssertionError(f"{label}, q = {q}: {space.invariant_factors} against {factors}")
+        if space._basis_v.shape != basis_v.shape or space._basis_v.tobytes() != basis_v.tobytes():
+            raise AssertionError(f"{label}, q = {q}: the basis v-vectors differ")
+        if any(not np.array_equal(c.values, v) for c, v in zip(space.basis, values)):
+            raise AssertionError(f"{label}, q = {q}: a basis cochain differs")
+
+
+def test_h2_tails_fault_one_wrong_tail_raises(monkeypatch):
+    """A consistent-tails step with one wrong tail is caught by an explicit raise."""
+    g = preset("heisenberg", [3])
+    pc = pc_presentation(g)
+    real = cohomology._consistent_tails
+    good = real(pc, cohomology._tail_forms(pc, 3), 3)
+    bad = good.copy()
+    bad[0, -1] = (bad[0, -1] + 1) % 3
+    if row_span_contains(howell_form(ZqMatrix(good, 3)), bad[0]):
+        raise AssertionError("the changed row must leave the consistent tails")
+    monkeypatch.setattr(cohomology, "_consistent_tails", lambda pc, forms, q: bad)
+    with pytest.raises(AssertionError, match="non-cocycle"):
+        h2(g, 3)
+
+
+def test_h2_tails_fault_wrong_lift_changes_raise(monkeypatch):
+    """Dropping the lift-change tails B_t breaks the |Z_t/B_t| count, an explicit raise."""
+    g = preset("cyclic", [4])
+    pc = pc_presentation(g)
+    if not cohomology._lift_change_tails(pc, 2).any():
+        raise AssertionError("Z/4 must have a nonzero lift change")
+    monkeypatch.setattr(cohomology, "_lift_change_tails", lambda pc, q: np.zeros((pc.length, 3), dtype=np.int64))
+    with pytest.raises(AssertionError, match="Z_t/B_t"):
+        h2(g, 2)
+
+
+# ---------------------------------------------------------------------------
 # per-group memo
 
 
@@ -1010,7 +1062,9 @@ def test_memo_h2_checks_the_cap_on_every_call():
 def test_memo_cached_arrays_are_read_only():
     g = preset("heisenberg", [3])
     space = h2(g, 3)
-    for arr in (h1(g, 3)._gen_values, _solver_tree(g), space._forms, space._basis_v, space._cob_v):
+    pc = pc_presentation(g)
+    arrays = (h1(g, 3)._gen_values, _solver_tree(g), space._basis_v, space._cob_v)
+    for arr in arrays + (pc.exponents, pc.power_words, pc.conj_words):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
 

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from qcoh import groups
+from qcoh.cohomology import h2
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
     FiniteGroup,
@@ -25,6 +26,7 @@ from qcoh.groups import (
     is_isomorphic,
     normal_subgroups_within,
     order_profile,
+    pc_presentation,
     power_subgroup,
     preset,
     q_central_series,
@@ -128,6 +130,22 @@ def test_preset_check_fires_when_tampered(monkeypatch):
     monkeypatch.setattr(groups, "center", trivial_subgroup)
     with pytest.raises(AssertionError, match="center of order 2"):
         preset("dihedral4")
+
+
+def test_fault_missing_inverse_in_later_block_rejected():
+    n = 1024
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    x = n - 3
+    if x < _first_block_rows(n):
+        raise AssertionError("the corrupted row must lie past the first row block")
+    bad = table.copy()
+    bad[x, 3] = 1  # row x loses its only identity entry
+    with pytest.raises(ValueError, match="without inverses"):
+        FiniteGroup.from_table(bad)
+    bad = table.copy()
+    bad[x, [3, 4]] = bad[x, [4, 3]]  # x·4 = 1, but 4·x ≠ 1
+    with pytest.raises(ValueError, match="one-sided inverses"):
+        FiniteGroup.from_table(bad)
 
 
 def test_corrupted_table_rejected(d4):
@@ -408,6 +426,76 @@ def test_fault_swapped_images_raise_in_grouphom(h27):
         raise AssertionError("the swapped map should not be a homomorphism")
     with pytest.raises(ValueError, match="not multiplicative"):
         GroupHom(h27, data.quotient, images)
+
+
+# ---------------------------------------------------------------------------
+# pc presentations
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabeled"])
+@pytest.mark.parametrize("label,build,qs", oracles.SMALL_SOLVABLE, ids=[c[0] for c in oracles.SMALL_SOLVABLE])
+def test_pc_presentation_order_bijection_and_relations(label, build, qs, relabel):
+    g = oracles.relabeled(build(), seed=len(label)) if relabel else build()
+    pc = pc_presentation(g)
+    big_n = pc.length
+    if int(np.prod(pc.rel_orders)) != g.order:
+        raise AssertionError(f"{label}: relative orders {pc.rel_orders} do not multiply to {g.order}")
+    if any(any(r % k == 0 for k in range(2, r)) for r in pc.rel_orders):
+        raise AssertionError(f"{label}: relative orders {pc.rel_orders} must be prime")
+    words = set()
+    for x in g.elements():
+        word = pc.exponents[x]
+        if not all(0 <= e < r for e, r in zip(word, pc.rel_orders)):
+            raise AssertionError(f"{label}: exponent vector {word} out of range")
+        if oracles.pc_word_value(g, pc.gens, word) != x:
+            raise AssertionError(f"{label}: the normal word of {x} evaluates elsewhere")
+        words.add(tuple(word))
+    if len(words) != g.order:
+        raise AssertionError(f"{label}: two elements share an exponent vector")
+    for i, (gi, r) in enumerate(zip(pc.gens, pc.rel_orders)):
+        if pc.power_words[i, : i + 1].any() or oracles.pc_word_value(g, pc.gens, pc.power_words[i]) != g.power(gi, r):
+            raise AssertionError(f"{label}: wrong power relation for g_{i + 1}")
+        for j in range(big_n):
+            word = pc.conj_words[i, j]
+            if j <= i:
+                if word.any():
+                    raise AssertionError(f"{label}: conjugate word ({i}, {j}) must be empty")
+            elif word[: i + 1].any() or oracles.pc_word_value(g, pc.gens, word) != g.conj(pc.gens[j], gi):
+                raise AssertionError(f"{label}: wrong conjugate relation ({i + 1}, {j + 1})")
+
+
+def _alternating5() -> FiniteGroup:
+    def even(p):
+        return sum(p[a] > p[b] for a in range(5) for b in range(a + 1, 5)) % 2 == 0
+
+    perms = [p for p in itertools.permutations(range(5)) if even(p)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(5))] for b in perms] for a in perms]
+    return FiniteGroup.from_table(table, name="A5")
+
+
+def test_pc_presentation_rejects_a5():
+    a5 = _alternating5()
+    if a5.order != 60:
+        raise AssertionError(f"A5 has order 60, not {a5.order}")
+    with pytest.raises(ValueError, match="not solvable"):
+        pc_presentation(a5)
+    with pytest.raises(ValueError, match="not solvable"):
+        h2(a5, 2)
+
+
+def test_memo_pc_presentation_and_generator_tree_are_built_once(monkeypatch, q8):
+    g = preset("dihedral4")
+    if pc_presentation(g) is not pc_presentation(g):
+        raise AssertionError("the pc presentation must be kept on the group")
+    calls = []
+    real = groups._bfs_tree
+    monkeypatch.setattr(groups, "_bfs_tree", lambda *args: calls.append(args) or real(*args))
+    enumerate_homs(g, q8)
+    enumerate_homs(g, g)
+    is_isomorphic(g, q8)
+    if len(calls) != 1 or groups._generator_tree(g, g.generators) is not groups._generator_tree(g, g.generators):
+        raise AssertionError(f"the generator tree of D4 was built {len(calls)} times")
 
 
 # ---------------------------------------------------------------------------
