@@ -261,9 +261,6 @@ def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     tri = triple_of(args.triple or "dec-cup")
     top = tri.top(group, q)
     floor = tri.floor(group, q)
-    start = time.perf_counter()
-    rep = duality_conditions(group, q, top, floor, tri.alpha_image)
-    elapsed = time.perf_counter() - start
     names = (
         "kernel-matches-preimage",
         "exact-through-coefficients",
@@ -272,6 +269,15 @@ def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         "annihilator-is-floor",
         "lift-kernels-meet-floor",
     )
+    start = time.perf_counter()
+    try:
+        rep = duality_conditions(group, q, top, floor, tri.alpha_image)
+    except ValueError as exc:
+        elapsed = time.perf_counter() - start
+        for name in names:
+            report.add(name, SKIPPED, str(exc), timing=elapsed / 6)
+        return report
+    elapsed = time.perf_counter() - start
     for name, verdict in zip(names, rep.as_tuple()):
         report.add(name, PASS if verdict else FAIL, str(verdict), timing=elapsed / 6)
     report.extras["duality"] = {

@@ -87,9 +87,6 @@ from .zqlin import (
     solve,
 )
 
-# order cap for the groups on which inflation kernels are computed directly;
-# beyond it the kernel is taken toward G/T₀ instead (reported as substituted)
-INFLATION_CAP = 1024
 # cap on the brute-force searches (twist class, lift assignments, relations)
 SEARCH_CAP = 4096
 
@@ -223,11 +220,10 @@ def _twist_kernel(source: FiniteGroup, q: int, twists: np.ndarray) -> np.ndarray
     pair (x, s∈S).  That pair system is exact: the difference of two
     cocycles that vanishes on all (x, s) pairs vanishes everywhere (the
     v-vector fact behind H2Space), so the y-part of its kernel spans the
-    kernel on classes exactly.  Every kernel row is checked against the full
-    pair system before return.
+    kernel on classes exactly, at every order up to the order cap (there are
+    only |S|+k unknowns).  Every kernel row is checked against the full pair
+    system before return.
     """
-    if source.order > INFLATION_CAP:
-        raise ValueError(f"inflation kernel capped at source order {INFLATION_CAP}")
     if twists.shape[2] == 0:
         return np.zeros((0, 0), dtype=np.int64)
     coeff, const, gens = _affine_propagation(source, q, twists)
@@ -290,6 +286,19 @@ def _nonzero_classes(
             seen.add(coords)
             out.append(space.representative(coords))
     return tuple(out)
+
+
+def _inflation_kernel_classes(
+    space: H2Space, source: FiniteGroup, images: Optional[np.ndarray], gens: Sequence[Cochain2]
+) -> tuple[Cochain2, ...]:
+    """Canonical representatives of the nonzero classes of span(gens) that die on ``source``.
+
+    ``gens`` are cocycles on ``space.group`` and ``images`` a homomorphism
+    from ``source`` into it; with the projection G → G/T this is
+    Ker(inf: span(gens) → H²(G)).  The kernel is solved on ``source`` itself,
+    exactly, at every order up to the order cap.
+    """
+    return _nonzero_classes(space, gens, _combo_kernel(source, space.modulus, list(gens), images))
 
 
 def _presentation(ngens: int, q: int, rows: np.ndarray) -> AbGroupPresentation:
@@ -653,36 +662,11 @@ class TransgressionPairing:
     classes: tuple[Cochain2, ...]
     preimages: tuple[Cochain1, ...]
     well_defined: bool
-    substituted: bool
     report: PairingReport
 
     @property
     def perfect(self) -> bool:
         return self.well_defined and self.report.perfect
-
-
-def _inflation_kernel_classes(
-    group: FiniteGroup,
-    q: int,
-    floor: Subgroup,
-    solver: TransgressionSolver,
-    gens: Sequence[Cochain2],
-) -> tuple[tuple[Cochain2, ...], bool]:
-    """Canonical class generators of Ker(inf: span(gens) → H²(G)).
-
-    Falls back to the kernel toward G/floor when the group exceeds the
-    inflation cap (second return value reports the substitution).
-    """
-    space = solver.space
-    substituted = group.order > INFLATION_CAP
-    if not substituted:
-        combos = _combo_kernel(group, q, list(gens), images=solver.data.projection.images)
-    else:
-        qd0 = quotient(group, floor)
-        images = solver.data.projection.images[qd0.coset_reps]
-        hom = GroupHom(qd0.quotient, space.group, images)
-        combos = _combo_kernel(qd0.quotient, q, list(gens), images=hom.images)
-    return _nonzero_classes(space, gens, combos), substituted
 
 
 def transgression_pairing(
@@ -698,8 +682,20 @@ def transgression_pairing(
     sub = alpha(solver.space) if callable(alpha) else alpha
     if sub.space is not solver.space:
         raise ValueError("coefficient submodule must live on the solver's quotient")
+    classes = _inflation_kernel_classes(solver.space, group, solver.data.projection.images, sub.gens)
+    return _pairing_on_classes(group, q, top, floor, solver, classes)
+
+
+def _pairing_on_classes(
+    group: FiniteGroup,
+    q: int,
+    top: Subgroup,
+    floor: Subgroup,
+    solver: TransgressionSolver,
+    classes: tuple[Cochain2, ...],
+) -> TransgressionPairing:
+    """The transgression pairing of T/T₀ against the given inflation-kernel classes."""
     module = central_subquotient(group, top, floor, q)
-    classes, substituted = _inflation_kernel_classes(group, q, floor, solver, sub.gens)
     preimages = []
     for c in classes:
         psi = solver.preimage(c)
@@ -729,7 +725,7 @@ def transgression_pairing(
             left_annihilator=(),
             right_annihilator=(),
         )
-    return TransgressionPairing(module, tuple(classes), tuple(preimages), well_defined, substituted, report)
+    return TransgressionPairing(module, classes, tuple(preimages), well_defined, report)
 
 
 # --------------------------------------------------------------------------
@@ -747,7 +743,8 @@ class DualityConditionsReport:
     annihilator_is_floor: bool
     lift_kernels_meet_floor: bool
     annihilator: Subgroup
-    substituted: bool
+    # every kernel is solved on G itself; the flag stays for the duality-check JSON
+    substituted = False
 
     def as_tuple(self) -> tuple[bool, bool, bool, bool, bool, bool]:
         return (
@@ -849,7 +846,7 @@ def duality_conditions(
         cond_a = True
 
     # kernel of inflation restricted to A, as a subspace of H²(G/T)
-    ker_classes, substituted = _inflation_kernel_classes(group, q, floor, solver, sub.gens)
+    ker_classes = _inflation_kernel_classes(space, group, solver.data.projection.images, sub.gens)
     ker_sub = span_of_classes(space, list(ker_classes))
 
     # (b) transgression maps the restriction kernel isomorphically onto that kernel
@@ -877,18 +874,13 @@ def duality_conditions(
 
     # (c) kernel toward G/T₀ sits in A and matches the inflation kernel
     qd0 = quotient(group, floor)
-    mid_images = solver.data.projection.images[qd0.coset_reps]
-    mid_hom = GroupHom(qd0.quotient, space.group, mid_images)
-    if space.basis:
-        combos0 = _combo_kernel(qd0.quotient, q, list(space.basis), images=mid_hom.images)
-        kp_classes = _nonzero_classes(space, space.basis, combos0)
-    else:
-        kp_classes = ()
+    mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
+    kp_classes = _inflation_kernel_classes(space, qd0.quotient, mid_hom.images, space.basis)
     kp_sub = span_of_classes(space, kp_classes)
     cond_c = _subspace_contains(sub, kp_sub) and _subspace_equal(kp_sub, ker_sub)
 
-    # (d) the transgression pairing on T/T₀ × Ker(inf|A) is perfect
-    pairing = transgression_pairing(group, q, top, floor, sub, solver=solver)
+    # (d) the transgression pairing on T/T₀ × Ker(inf|A) is perfect, on the kernel of (b)
+    pairing = _pairing_on_classes(group, q, top, floor, solver, ker_classes)
     cond_d = pairing.perfect
 
     # (e) the annihilator of A ∩ img(trg) inside T is exactly T₀
@@ -933,7 +925,6 @@ def duality_conditions(
         annihilator_is_floor=cond_e,
         lift_kernels_meet_floor=cond_f,
         annihilator=annihilator,
-        substituted=substituted,
     )
 
 
@@ -1161,9 +1152,10 @@ def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
             break
     kernel_cup_generated = False
     if frame is not None:
-        dec = h2_dec(frame.space)
-        combos = _combo_kernel(group, q, list(dec.gens), images=frame.data.projection.images)
-        ker_sub = span_of_classes(frame.space, _nonzero_classes(frame.space, dec.gens, combos))
+        ker_classes = _inflation_kernel_classes(
+            frame.space, group, frame.data.projection.images, h2_dec(frame.space).gens
+        )
+        ker_sub = span_of_classes(frame.space, ker_classes)
         found: list[Cochain2] = []
         vectors = list(itertools.product(range(q), repeat=frame.d))
         for a in vectors:
@@ -1227,8 +1219,8 @@ def kernel_generating_pairs(
     grt = galois_relation_type(group, q)
     frame = level2_frame(group, q)
     A = triple.alpha_image(frame.space)
-    combos = _combo_kernel(group, q, list(A.gens), images=frame.data.projection.images)
-    ker_sub = span_of_classes(frame.space, _nonzero_classes(frame.space, A.gens, combos))
+    ker_classes = _inflation_kernel_classes(frame.space, group, frame.data.projection.images, A.gens)
+    ker_sub = span_of_classes(frame.space, ker_classes)
     target_order = ker_sub.order
     vectors = list(itertools.product(range(q), repeat=frame.d))
     candidates: list[tuple[Optional[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]] = []
@@ -1376,7 +1368,6 @@ def lower3_intersection_check(group: FiniteGroup, p: int) -> Lower3Report:
     Equality is asserted when the relation-type test passes, and only
     reported otherwise.
     """
-    factor_prime_power(p)
     if p != factor_prime_power(p)[0]:
         raise ValueError("intersection lists need a prime modulus")
     grt = galois_relation_type(group, p)
@@ -1667,8 +1658,8 @@ def inflation_kernel_symbolic(
     """Rows of Bockstein/cup coordinates spanning Ker(inf: A(G/T) → H²(G))."""
     frame = level2_frame(group, q)
     A = triple.alpha_image(frame.space)
-    combos = _combo_kernel(group, q, list(A.gens), images=frame.data.projection.images)
-    rows = [frame.class_symbolic_coords(c) for c in _nonzero_classes(frame.space, A.gens, combos)]
+    classes = _inflation_kernel_classes(frame.space, group, frame.data.projection.images, A.gens)
+    rows = [frame.class_symbolic_coords(c) for c in classes]
     if not rows:
         return np.zeros((0, frame.symbolic.rank), dtype=np.int64)
     canon, _ = _canonical_span_basis(np.array(rows, dtype=np.int64), q)
@@ -1719,7 +1710,8 @@ def reconstruct_quotient(
     ]
     if triple.kind == "dec-cup":
         flat = free_level3(d, q, "flat")
-        assert flat.quotient_data is not None
+        if flat.quotient_data is None:
+            raise AssertionError("the flat model carries no quotient data")
         proj = flat.quotient_data.projection
         model_group = flat.group
         seeds = [int(proj(s)) for s in seeds]

@@ -11,9 +11,9 @@ import itertools
 
 import numpy as np
 
-from qcoh.cohomology import Cochain1, _coboundary_rows, _solver_gens, _solver_tree, bockstein, cup11, is_coboundary
+from qcoh.cohomology import Cochain1, Cochain2, _coboundary_rows, _solver_gens, _solver_tree, bockstein, cup11, is_coboundary
 from qcoh.freemodel import free_level3
-from qcoh.groups import FiniteGroup, preset, q_central_series, quotient
+from qcoh.groups import FiniteGroup, GroupHom, preset, q_central_series, quotient
 from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains
 
 
@@ -363,6 +363,24 @@ def inflation_iso_lattice(source, q: int, images, target_gens, own_gens) -> tupl
     span = howell_form(ZqMatrix(np.concatenate([pulled, cob], axis=0), q))
     surj = all(row_span_contains(span, c.values[:, gens].reshape(-1)) for c in own_gens)
     return bool(mono), surj
+
+
+def inflation_kernel_via_floor_quotient(space, group, floor, images, gens):
+    """Cocycles spanning, modulo B², the classes of span(gens) that die on G/T₀.
+
+    The reference route: pull ``gens`` (cocycles on ``space.group`` = G/T)
+    back along G/T₀ → G/T, with ``images`` the projection G → G/T, and find
+    the vanishing combinations on the smaller group G/T₀ by the coboundary
+    lattice, so no code is shared with ``_inflation_kernel_classes``.  When A
+    is dual to (T, T₀) this is the inflation kernel on G itself (condition (c)).
+    """
+    qd0 = quotient(group, floor)
+    hom = GroupHom(qd0.quotient, space.group, np.asarray(images, dtype=np.int64)[qd0.coset_reps])
+    combos = combo_kernel_lattice(qd0.quotient, space.modulus, list(gens), images=hom.images)
+    return [
+        Cochain2(space.group, space.modulus, sum(int(y) * c.values for y, c in zip(row, gens)))
+        for row in combos
+    ]
 
 
 def h2_linear_forms(group, q: int):

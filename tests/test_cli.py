@@ -289,6 +289,16 @@ def test_cli_duality_check(capsys):
     assert data["machine"]["duality"]["triple"] == "bock"
 
 
+def test_cli_duality_check_cap_skips(capsys):
+    # G/T = (Z/2)^7 has order 128, above the H² solver cap
+    code, out = _run(capsys, "duality-check", "--preset", "elementary_abelian", "--params", "2", "7",
+                     "--q", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [r["status"] for r in data["checks"]] == [SKIPPED] * 6
+    assert all("exceeds the H² solver cap 64" in r["details"] for r in data["checks"])
+
+
 def test_cli_theorem_d_pass(capsys):
     code, out = _run(capsys, "theorem-d", "--preset", "heisenberg", "--params", "3", "--p", "3")
     assert code == 0
