@@ -295,7 +295,12 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     if args.p is None:
         raise UsageError("--p is required for theorem-d")
     report = Report(_echo(args, argv), q=args.p)
-    rep = lower3_intersection_check(group, args.p)
+    try:
+        rep = lower3_intersection_check(group, args.p)
+    except ValueError as exc:
+        for name in ("relation-type", "intersection-equals-refined3"):
+            report.add(name, SKIPPED, str(exc))
+        return report
     grt = rep.relation_type
     report.add(
         "relation-type",

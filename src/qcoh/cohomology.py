@@ -616,9 +616,10 @@ def invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
     basis = []
     for row in basis_rows:
         psi = Cochain1(tgrp, q, row)
-        assert psi.is_cocycle()
-        for perm in perms:
-            assert np.array_equal(psi.values[perm], psi.values), "invariance violated"
+        if not psi.is_cocycle():
+            raise AssertionError("invariant basis element is not a homomorphism")
+        if not all(np.array_equal(psi.values[perm], psi.values) for perm in perms):
+            raise AssertionError("invariance violated")
         basis.append(psi)
     return InvariantH1(sub, tgrp, q, tuple(basis), factors, pos)
 
@@ -1109,8 +1110,10 @@ def extension_from_class(base: FiniteGroup, c: Cochain2) -> CentralExtensionSpec
     section = np.arange(m, dtype=np.int64)
     # the fiber must be central
     fiber = embed[1] if q > 1 else embed[0]
-    assert np.array_equal(table[fiber, :], table[:, fiber]), "fiber is not central"
-    assert set(proj.kernel().members) == {int(e) for e in embed}
+    if not np.array_equal(table[fiber, :], table[:, fiber]):
+        raise AssertionError("fiber is not central")
+    if set(proj.kernel().members) != {int(e) for e in embed}:
+        raise AssertionError("projection kernel is not the fiber")
     return CentralExtensionSpec(base, q, c, total, embed, proj, section)
 
 
@@ -1168,23 +1171,19 @@ def class_of_spec(spec: CentralExtensionSpec) -> Cochain2:
 # tensor-power quotients (quadratic hull and friends)
 
 
-def _module_elements(factors: Sequence[int]) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(f) for f in factors), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1) if factors else np.zeros((1, 0), dtype=np.int64)
-
-
 def tensor_kill_rows(
     factors: Sequence[int],
     q: int,
     r: int,
     t: int,
-    alpha_is_zero: Callable[[tuple[np.ndarray, ...]], bool],
+    alpha_kills: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Rows spanning the pure tensors with an α-killed t-subsequence.
 
     The ambient module is the r-th tensor power of ⊕ Z/f_k; a pure tensor
     v₁⊗···⊗v_r contributes iff α(v_{j₁},…,v_{j_t}) = 0 for some
-    j₁ < ··· < j_t.  Degree cap r ≤ 3.
+    j₁ < ··· < j_t.  ``alpha_kills`` maps an (N, t, m) array of coordinate
+    vectors to N booleans; it is called once, on all t-tuples.  Degree cap r ≤ 3.
     """
     m = len(factors)
     if r > 3:
@@ -1193,27 +1192,20 @@ def tensor_kill_rows(
         raise ValueError("tensor degree must be positive")
     if r < t:
         return np.zeros((0, m**r), dtype=np.int64)
-    elems = _module_elements(factors)
+    elems = np.array(list(itertools.product(*(range(f) for f in factors))), dtype=np.int64)
     ne = elems.shape[0]
-    # cache α on all t-tuples of module elements
-    killed = np.zeros((ne,) * t, dtype=bool)
-    for tup in itertools.product(range(ne), repeat=t):
-        killed[tup] = alpha_is_zero(tuple(elems[i] for i in tup))
-    rows = []
-    for tup in itertools.product(range(ne), repeat=r):
-        hit = any(
-            killed[tuple(tup[j] for j in sub)]
-            for sub in itertools.combinations(range(r), t)
-        )
-        if not hit:
-            continue
-        vec = elems[tup[0]]
-        for j in tup[1:]:
-            vec = np.multiply.outer(vec, elems[j]).reshape(-1)
-        rows.append(vec % q)
-    if not rows:
+    tuples = np.indices((ne,) * t).reshape(t, -1).T
+    killed = np.asarray(alpha_kills(elems[tuples]), dtype=bool).reshape((ne,) * t)
+    hit = np.zeros((ne,) * r, dtype=bool)
+    for sub in itertools.combinations(range(r), t):
+        hit |= killed.reshape([ne if j in sub else 1 for j in range(r)])
+    tups = np.argwhere(hit)
+    if not tups.size:
         return np.zeros((0, m**r), dtype=np.int64)
-    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+    vecs = elems[tups[:, 0]]
+    for j in range(1, r):
+        vecs = (vecs[:, :, None] * elems[tups[:, j]][:, None, :]).reshape(len(tups), -1)
+    return np.unique(vecs % q, axis=0)
 
 
 def _tensor_relation_rows(factors: Sequence[int], q: int, r: int) -> np.ndarray:
@@ -1268,12 +1260,8 @@ def hat_ring(group: FiniteGroup, q: int, max_degree: int = 2, cap: int = H2_CAP)
             cup_tbl[i, j] = sp.coordinates_of(cup11(a, b))
     h2f = np.array(sp.invariant_factors, dtype=np.int64)
 
-    def cup_is_zero(pair: tuple[np.ndarray, ...]) -> bool:
-        a, b = pair
-        if m == 0:
-            return True
-        acc = np.einsum("i,j,ijk->k", a, b, cup_tbl)
-        return not (acc % h2f).any() if h2f.size else True
+    def cup_is_zero(pairs: np.ndarray) -> np.ndarray:
+        return ~(np.einsum("ni,nj,ijk->nk", pairs[:, 0], pairs[:, 1], cup_tbl) % h2f).any(axis=1)
 
     degrees = {}
     for r in range(1, max_degree + 1):

@@ -73,11 +73,13 @@ from .groups import (
     trivial_subgroup,
     whole_group,
 )
-from .groups import _extend_gen_images, _generator_tree, _is_multiplicative
+from .groups import _extend_gen_images, _generator_tree, _is_multiplicative, _memoized
 from .zqlin import (
     AbGroupPresentation,
     PairingReport,
     ZqMatrix,
+    _freeze,
+    coset_reduce,
     factor_prime_power,
     howell_form,
     kernel,
@@ -222,16 +224,20 @@ def _twist_kernel(source: FiniteGroup, q: int, twists: np.ndarray) -> np.ndarray
     v-vector fact behind H2Space), so the y-part of its kernel spans the
     kernel on classes exactly, at every order up to the order cap (there are
     only |S|+k unknowns).  Every kernel row is checked against the full pair
-    system before return.
+    system before return.  The read-only result is kept on ``source`` per
+    exact twist bytes, so a system repeated across calls is solved once.
     """
-    if twists.shape[2] == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    coeff, const, gens = _affine_propagation(source, q, twists)
-    system = _pair_system(source, q, coeff, const, gens, twists)
-    combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
-    if ((system @ combos.T) % q).any():
-        raise AssertionError("combination kernel row violates the pair system")
-    return combos[:, len(gens) :] % q
+    def build() -> np.ndarray:
+        if twists.shape[2] == 0:
+            return _freeze(np.zeros((0, 0), dtype=np.int64))
+        coeff, const, gens = _affine_propagation(source, q, twists)
+        system = _pair_system(source, q, coeff, const, gens, twists)
+        combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
+        if ((system @ combos.T) % q).any():
+            raise AssertionError("combination kernel row violates the pair system")
+        return _freeze(combos[:, len(gens) :] % q)
+
+    return _memoized(source, ("twist_kernel", q, twists.shape, twists.tobytes()), build)
 
 
 def _combo_kernel(
@@ -400,6 +406,10 @@ def _power_products(group: FiniteGroup, gens: Sequence[int], q: int) -> tuple[np
     return exps, elems
 
 
+class NotFreeLevel2(ValueError):
+    """The level-2 quotient G/T is trivial or not a free Z/q-module."""
+
+
 def level2_frame(
     group: FiniteGroup,
     q: int,
@@ -408,14 +418,15 @@ def level2_frame(
 ) -> Level2Frame:
     """Split G/T as (Z/q)^d and solve its cohomology.
 
-    Raises ValueError when the quotient is not a free Z/q-module (no basis of
-    order-q elements with q-fold closure jumps exists).
+    Raises NotFreeLevel2 when the quotient is trivial or not a free
+    Z/q-module (no basis of order-q elements with q-fold closure jumps
+    exists); any other ValueError, such as a cap, is not about freeness.
     """
     if data is None:
         data = quotient(group, q_central_series(group, q).term(2))
     Q = data.quotient
     if Q.order == 1:
-        raise ValueError("level-2 quotient is trivial")
+        raise NotFreeLevel2("level-2 quotient is trivial")
     orders = element_orders(Q)
     candidates: list[int] = [data.projection(int(g)) for g in preferred_parent]
     candidates.extend(Q.generators)
@@ -432,7 +443,7 @@ def level2_frame(
             basis.append(int(x))
             current = enlarged
     if current.order != Q.order:
-        raise ValueError("level-2 quotient is not a free module over Z/q")
+        raise NotFreeLevel2("level-2 quotient is not a free module over Z/q")
     d = len(basis)
     exps, elems = _power_products(Q, basis, q)
     if np.unique(elems).size != Q.order:
@@ -950,26 +961,29 @@ def _alpha_zero_predicate(
     source: FiniteGroup,
     q: int,
     images: Optional[np.ndarray] = None,
-) -> Callable[[tuple[np.ndarray, ...]], bool]:
-    """Whether α, pulled back to ``source``, kills a t-tuple of coordinate vectors over ``chars``.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Which of an (N, t, m) batch of coordinate t-tuples over ``chars`` α, pulled back to ``source``, kills.
 
     α is linear in the coordinates for t = 1 (Bockstein) and bilinear for
     t = 2 (cup), so a tuple is killed iff a (t = 1), or a⊗b flattened
     row-major (t = 2), lies in the kernel K_t of the m classes β(χᵢ), or of
     the m² classes χᵢ∪χⱼ at index i·m+j.  K_t is found once, by
-    ``_combo_kernel``; ``images`` maps ``source`` into the carrier of
-    ``chars`` (identity when omitted).
+    ``_combo_kernel``, and the batch is reduced against it in one pass;
+    ``images`` maps ``source`` into the carrier of ``chars`` (identity when omitted).
     """
     if t not in triple.active_degrees or t > 2:
-        return lambda tup: True
+        return lambda vecs: np.ones(len(vecs), dtype=bool)
     if t == 1:
         classes = [bockstein(chi) for chi in chars]
     else:
         classes = [cup11(a, b) for a in chars for b in chars]
     span = howell_form(ZqMatrix(_combo_kernel(source, q, classes, images=images), q))
-    if t == 1:
-        return lambda tup: row_span_contains(span, tup[0])
-    return lambda tup: row_span_contains(span, np.outer(tup[0], tup[1]).reshape(-1))
+
+    def kills(vecs: np.ndarray) -> np.ndarray:
+        rows = vecs[:, 0] if t == 1 else np.einsum("ni,nj->nij", vecs[:, 0], vecs[:, 1])
+        return ~coset_reduce(span, rows.reshape(len(vecs), -1)).any(axis=1)
+
+    return kills
 
 
 def alpha_tensor_quotient(
@@ -1139,7 +1153,7 @@ def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
     try:
         frame = level2_frame(group, q)
         free_level2 = True
-    except ValueError:
+    except NotFreeLevel2:
         frame = None
         free_level2 = False
     h1s = h1(group, q)

@@ -33,6 +33,7 @@ from qcoh.groups import (
     subgroup_closure,
     whole_group,
 )
+from qcoh.groups import _BLOCK_CELLS
 from qcoh.zqlin import factor_prime_power
 
 __all__ = [
@@ -126,7 +127,7 @@ def _sharp_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     b_blk = coords[:, 2 * d :]
 
     table = np.empty((n, n), dtype=np.int64)
-    chunk = max(1, (1 << 21) // n)
+    chunk = max(1, _BLOCK_CELLS // n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         a1 = a_blk[lo:hi, None, :]

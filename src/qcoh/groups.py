@@ -788,7 +788,11 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientData:
     reps = np.unique(coset_min)
     coset_index = np.searchsorted(reps, coset_min)
     m = reps.size
-    qt = coset_index[group.table[np.ix_(reps, reps)]]
+    qt = np.empty((m, m), dtype=np.int64)
+    lo = 0
+    for block in _row_blocks(group.table, reps, reps):
+        qt[lo : lo + len(block)] = coset_index[block]
+        lo += len(block)
 
     gen_images: list[int] = []
     gen_names: list[str] = []

@@ -342,18 +342,21 @@ def _as_howell(mat: "ZqMatrix | HowellForm") -> HowellForm:
 def coset_reduce(mat: "ZqMatrix | HowellForm", vec: Sequence[int]) -> np.ndarray:
     """Canonical representative of ``vec`` modulo the row span of ``mat``.
 
-    Two vectors reduce to the same output iff their difference lies in the
-    span; in particular membership is ``coset_reduce(mat, v).any() == False``.
+    ``vec`` is one vector or a 2-D array of row vectors, each reduced on its
+    own.  Two vectors reduce to the same output iff their difference lies in
+    the span; in particular membership is ``coset_reduce(mat, v).any() == False``.
     """
     hf = _as_howell(mat)
     q = hf.modulus
     h = hf.matrix.entries
     r = np.mod(np.asarray(vec, dtype=np.int64), q)
-    if r.shape != (hf.matrix.cols,):
-        raise ValueError(f"expected vector of length {hf.matrix.cols}, got shape {r.shape}")
+    if r.ndim not in (1, 2) or r.shape[-1] != hf.matrix.cols:
+        raise ValueError(f"expected vectors of length {hf.matrix.cols}, got shape {r.shape}")
+    batch = r.ndim == 2
     for i, j, pv in hf.pivots:
-        f = int(r[j]) // pv
-        if f:
+        # a single vector keeps its factor a Python int: array tests cost more at these sizes
+        f = r[:, j : j + 1] // pv if batch else int(r[j]) // pv
+        if f.any() if batch else f:
             r = (r - f * h[i]) % q
     return r
 
@@ -394,7 +397,8 @@ def solve(matrix: ZqMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
     if r.any():
         return None
     x = (coeffs @ hf.transform.entries) % q
-    assert np.array_equal(matrix.apply(x), b), "solver postcondition violated"
+    if not np.array_equal(matrix.apply(x), b):
+        raise AssertionError("solver postcondition violated")
     return x
 
 
@@ -485,8 +489,10 @@ def smith_decomposition(matrix: ZqMatrix) -> SmithDecomposition:
     dec = SmithDecomposition(
         ZqMatrix(a, q), ZqMatrix(u, q), ZqMatrix(v, q), ZqMatrix(vi, q)
     )
-    assert dec.row_transform @ matrix @ dec.col_transform == dec.diagonal
-    assert dec.col_transform @ dec.col_transform_inv == ZqMatrix.identity(m, q)
+    if dec.row_transform @ matrix @ dec.col_transform != dec.diagonal:
+        raise AssertionError("Smith transforms do not diagonalize the matrix")
+    if dec.col_transform @ dec.col_transform_inv != ZqMatrix.identity(m, q):
+        raise AssertionError("Smith column transform and its inverse disagree")
     return dec
 
 

@@ -342,6 +342,44 @@ def alpha_zero_predicate_solve(triple, t: int, chars, carrier, q: int):
     return lambda tup: is_coboundary(cup11(chi(tup[0]), chi(tup[1]))) is not None
 
 
+def tensor_kill_rows_per_tuple(factors, q: int, r: int, t: int, alpha_is_zero) -> np.ndarray:
+    """``tensor_kill_rows`` one tuple at a time, with a per-tuple predicate.
+
+    The reference route: ``alpha_is_zero`` takes a t-tuple of coordinate
+    vectors and returns one bool; every r-tuple of module elements is tested
+    on each t-subsequence in a Python loop and its pure tensor built with one
+    ``np.multiply.outer`` per factor.
+    """
+    m = len(factors)
+    if r > 3:
+        raise ValueError("tensor degree capped at 3")
+    if r < 1:
+        raise ValueError("tensor degree must be positive")
+    if r < t:
+        return np.zeros((0, m**r), dtype=np.int64)
+    grids = np.meshgrid(*(np.arange(f) for f in factors), indexing="ij")
+    elems = np.stack([g.reshape(-1) for g in grids], axis=1) if factors else np.zeros((1, 0), dtype=np.int64)
+    ne = elems.shape[0]
+    killed = np.zeros((ne,) * t, dtype=bool)
+    for tup in itertools.product(range(ne), repeat=t):
+        killed[tup] = alpha_is_zero(tuple(elems[i] for i in tup))
+    rows = []
+    for tup in itertools.product(range(ne), repeat=r):
+        hit = any(
+            killed[tuple(tup[j] for j in sub)]
+            for sub in itertools.combinations(range(r), t)
+        )
+        if not hit:
+            continue
+        vec = elems[tup[0]]
+        for j in tup[1:]:
+            vec = np.multiply.outer(vec, elems[j]).reshape(-1)
+        rows.append(vec % q)
+    if not rows:
+        return np.zeros((0, m**r), dtype=np.int64)
+    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+
+
 def inflation_iso_lattice(source, q: int, images, target_gens, own_gens) -> tuple[bool, bool]:
     """(mono, surj) of the pullback A(target) → A(source) by the coboundary lattice.
 

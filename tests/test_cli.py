@@ -305,6 +305,17 @@ def test_cli_theorem_d_pass(capsys):
     assert "equal: True" in out
 
 
+def test_cli_theorem_d_cap_skips(capsys):
+    # G/T = (Z/2)^7 is free, but its order 128 is above the H² solver cap:
+    # the cap must not read as "not free"
+    code, out = _run(capsys, "theorem-d", "--preset", "elementary_abelian", "--params", "2", "7",
+                     "--p", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [r["status"] for r in data["checks"]] == [SKIPPED] * 2
+    assert all("exceeds the H² solver cap 64" in r["details"] for r in data["checks"])
+
+
 def test_cli_theorem_d_hypothesis_not_met(capsys):
     code, out = _run(capsys, "theorem-d", "--preset", "quaternion8", "--p", "2")
     assert code == 3

@@ -835,12 +835,12 @@ def test_class_from_extension_validation(d4):
 
 
 def test_kill_rows_empty_when_alpha_never_vanishes():
-    rows = tensor_kill_rows((3, 3), 3, 2, 2, lambda pair: False)
+    rows = tensor_kill_rows((3, 3), 3, 2, 2, lambda pairs: np.zeros(len(pairs), dtype=bool))
     assert rows.shape[0] == 0
 
 
 def test_kill_rows_degree_below_t():
-    rows = tensor_kill_rows((3, 3), 3, 1, 2, lambda pair: True)
+    rows = tensor_kill_rows((3, 3), 3, 1, 2, lambda pairs: np.ones(len(pairs), dtype=bool))
     assert rows.shape[0] == 0
     pres = tensor_quotient((3, 3), 3, 1, rows)
     assert pres.order == 9
@@ -848,9 +848,9 @@ def test_kill_rows_degree_below_t():
 
 def test_tensor_degree_cap():
     with pytest.raises(ValueError):
-        tensor_kill_rows((3,), 3, 4, 2, lambda pair: False)
+        tensor_kill_rows((3,), 3, 4, 2, lambda pairs: np.zeros(len(pairs), dtype=bool))
     with pytest.raises(ValueError):
-        tensor_kill_rows((3,), 3, 0, 2, lambda pair: False)
+        tensor_kill_rows((3,), 3, 0, 2, lambda pairs: np.zeros(len(pairs), dtype=bool))
 
 
 def test_tensor_quotient_order_by_closure():
@@ -858,9 +858,9 @@ def test_tensor_quotient_order_by_closure():
     the relation rows."""
     factors, q = (3, 3), 3
 
-    def parallel(pair):
-        a, b = pair
-        return (a[0] * b[1] - a[1] * b[0]) % q == 0
+    def parallel(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
+        return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) % q == 0
 
     for r in (2, 3):
         rows = tensor_kill_rows(factors, q, r, 2, parallel)
@@ -892,9 +892,8 @@ def test_hat_ring_bockstein_style_alpha():
     h19 = h1(z9, 3)
     space9 = h2(z9, 3)
 
-    def beta_dies_9(tup):
-        chi = h19.element(tup[0])
-        return space9.is_zero_class(bockstein(chi))
+    def beta_dies_9(tups):
+        return np.array([space9.is_zero_class(bockstein(h19.element(v))) for v in tups[:, 0]])
 
     rows = tensor_kill_rows(h19.invariant_factors, 3, 2, 1, beta_dies_9)
     assert tensor_quotient(h19.invariant_factors, 3, 2, rows).is_trivial
@@ -903,9 +902,8 @@ def test_hat_ring_bockstein_style_alpha():
     h133 = h1(g33, 3)
     space33 = h2(g33, 3)
 
-    def beta_dies_33(tup):
-        chi = h133.element(tup[0])
-        return space33.is_zero_class(bockstein(chi))
+    def beta_dies_33(tups):
+        return np.array([space33.is_zero_class(bockstein(h133.element(v))) for v in tups[:, 0]])
 
     rows33 = tensor_kill_rows(h133.invariant_factors, 3, 2, 1, beta_dies_33)
     assert tensor_quotient(h133.invariant_factors, 3, 2, rows33).order == 81

@@ -22,10 +22,12 @@ from qcoh.cohomology import (
     cup11,
     h1,
     h2,
+    hat_ring,
     is_coboundary,
     span_of_classes,
     symbolic_h2_elementary,
     tensor_kill_rows,
+    tensor_quotient,
 )
 from qcoh.duality import (
     alpha_surjective,
@@ -505,8 +507,10 @@ def test_level2_frame_raises_on_a_failed_cocycle_check(monkeypatch):
 def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
     """Kernel-membership α predicates and ``_inflation_iso`` agree with the old routes.
 
-    For every normal N ≤ T: identical ``tensor_kill_rows`` for the down and up
-    predicates at each (r, t), and the same (mono, surj) as the lattice oracle.
+    For every normal N ≤ T: the batched ``tensor_kill_rows`` of the down and up
+    predicates equals the per-tuple oracle driven by one solve per tuple, at
+    each (r, t), and ``_inflation_iso`` gives the same (mono, surj) as the
+    lattice oracle.
     Checked with numpy's assertions so the comparison also runs under ``python -O``.
     """
     g = _group(*args)
@@ -531,13 +535,74 @@ def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
                 for fast, slow in sides:
                     np.testing.assert_array_equal(
                         tensor_kill_rows(h1n.invariant_factors, q, r, t, fast),
-                        tensor_kill_rows(h1n.invariant_factors, q, r, t, slow),
+                        oracles.tensor_kill_rows_per_tuple(h1n.invariant_factors, q, r, t, slow),
                     )
         target_gens = tri.alpha_generator_classes(qd.quotient, q)
         np.testing.assert_equal(
             duality_mod._inflation_iso(g, q, qd.projection.images, target_gens, own_gens),
             oracles.inflation_iso_lattice(g, q, qd.projection.images, target_gens, own_gens),
         )
+
+
+@pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.parametrize("kind", TRIPLE_KINDS)
+def test_kill_rows_batch_matches_per_tuple_oracle(label, args, q, kind):
+    """The batched ``tensor_kill_rows`` is byte-identical to the per-tuple loop.
+
+    Both routes get the same α predicate, the per-tuple one through a batch of
+    one, at every (r, t) with r ≤ 3 (r < t included); the ``hat_ring`` cup
+    predicate is checked against one ``is_coboundary`` solve per pair.
+    Checked with numpy's assertions so the comparison also runs under ``python -O``.
+    """
+    g = _group(*args)
+    tri = triple_of(kind)
+    h1s = h1(g, q)
+    factors = h1s.invariant_factors
+    for t in (1, 2):
+        batch = duality_mod._alpha_zero_predicate(tri, t, h1s.basis, g, q)
+
+        def one(tup, batch=batch):
+            return bool(batch(np.array(tup)[None])[0])
+
+        for r in (1, 2, 3):
+            np.testing.assert_array_equal(
+                tensor_kill_rows(factors, q, r, t, batch),
+                oracles.tensor_kill_rows_per_tuple(factors, q, r, t, one),
+            )
+    if kind != "dec-cup":
+        return
+    ring = hat_ring(g, q, max_degree=3)
+    cup_dies = oracles.alpha_zero_predicate_solve(tri, 2, h1s.basis, g, q)
+    for r in (1, 2, 3):
+        rows = oracles.tensor_kill_rows_per_tuple(factors, q, r, 2, cup_dies)
+        np.testing.assert_array_equal(
+            ring.degrees[r].relations.entries, tensor_quotient(factors, q, r, rows).relations.entries
+        )
+
+
+def test_memo_twist_kernel_solves_each_system_once(monkeypatch):
+    """One inflation table on sharp(2,2) builds fewer twist systems than it asks for,
+    and every kept kernel is read-only."""
+    g = free_level3(2, 2).group
+    calls, builds = [0], [0]
+    real_kernel, real_propagation = duality_mod._twist_kernel, duality_mod._affine_propagation
+
+    def counted_kernel(*a, **kw):
+        calls[0] += 1
+        return real_kernel(*a, **kw)
+
+    def counted_propagation(*a, **kw):
+        builds[0] += 1
+        return real_propagation(*a, **kw)
+
+    monkeypatch.setattr(duality_mod, "_twist_kernel", counted_kernel)
+    monkeypatch.setattr(duality_mod, "_affine_propagation", counted_propagation)
+    inflation_isomorphism_table(g, 2, triple_of("dec-cup"))
+    if not 0 < builds[0] < calls[0]:
+        raise AssertionError(f"{builds[0]} twist-system builds for {calls[0]} calls")
+    kept = [v for k, v in g._memo.items() if k[0] == "twist_kernel"]
+    if not kept or any(arr.flags.writeable for arr in kept):
+        raise AssertionError("kept twist kernels must exist and be read-only")
 
 
 @pytest.mark.parametrize("kind", ["bock-cup", "bock"])

@@ -558,6 +558,19 @@ def test_blocked_scans_over_several_blocks(z4x512):
         raise AssertionError(f"wrong commutator subgroup of order {comm.order}")
 
 
+def test_quotient_table_over_several_blocks(z4x512):
+    """Z/4 × Z/512 modulo ⟨(2, 0)⟩, order 1024: the table is filled in row blocks
+    and equals the whole-table formula coset_index[table[reps × reps]]."""
+    data = quotient(z4x512, subgroup_closure(z4x512, [1024]))
+    m = data.quotient.order
+    if m <= 512 or m * m <= groups._BLOCK_CELLS:
+        raise AssertionError("the quotient table must span several row blocks")
+    reps = data.coset_reps
+    np.testing.assert_array_equal(
+        data.quotient.table, data.projection.images[z4x512.table[np.ix_(reps, reps)]]
+    )
+
+
 def test_blocked_commutators_past_the_central_first_rows(d4):
     """D4 × Z/256: the first 256 indices are central, so the first row blocks give no commutator."""
     g = direct_product(d4, preset("cyclic", [256]))

@@ -159,10 +159,20 @@ def test_coset_reduce_is_canonical(m, data):
     assert np.array_equal(coset_reduce(m, v), coset_reduce(m, (v + shift) % q))
     assert row_span_contains(m, shift)
     assert not coset_reduce(m, shift).any()
+    # a 2-D batch reduces each row as it would alone
+    assert np.array_equal(coset_reduce(m, np.stack([v, shift])), np.stack([coset_reduce(m, v), coset_reduce(m, shift)]))
 
 
 # ---------------------------------------------------------------------------
 # solve / kernel against exhaustive search
+
+
+def test_solve_postcondition_fault_raises(monkeypatch):
+    """A solution that fails its substitution check raises, also under ``python -O``."""
+    m = ZqMatrix([[1, 2], [0, 1]], 3)
+    monkeypatch.setattr(ZqMatrix, "apply", lambda self, vec: np.ones(self.rows, dtype=np.int64))
+    with pytest.raises(AssertionError, match="solver postcondition violated"):
+        solve(m, [0, 0])
 
 
 def test_solve_unsolvable_and_solvable_mod4():
