@@ -294,6 +294,11 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     if args.p is None:
         raise UsageError("--p is required for theorem-d")
+    try:
+        if factor_prime_power(args.p)[1] != 1:
+            raise ValueError(f"--p must be a prime, got {args.p}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = Report(_echo(args, argv), q=args.p)
     try:
         rep = lower3_intersection_check(group, args.p)

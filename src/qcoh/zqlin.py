@@ -352,11 +352,9 @@ def coset_reduce(mat: "ZqMatrix | HowellForm", vec: Sequence[int]) -> np.ndarray
     r = np.mod(np.asarray(vec, dtype=np.int64), q)
     if r.ndim not in (1, 2) or r.shape[-1] != hf.matrix.cols:
         raise ValueError(f"expected vectors of length {hf.matrix.cols}, got shape {r.shape}")
-    batch = r.ndim == 2
     for i, j, pv in hf.pivots:
-        # a single vector keeps its factor a Python int: array tests cost more at these sizes
-        f = r[:, j : j + 1] // pv if batch else int(r[j]) // pv
-        if f.any() if batch else f:
+        f = r[..., j : j + 1] // pv
+        if f.any():
             r = (r - f * h[i]) % q
     return r
 

@@ -380,13 +380,16 @@ def test_cli_determinism_excluding_timings(capsys):
         ("series", "--preset", "heisenberg", "--params", "5", "--q", "5",
          "--max-order", "100"),
         ("theorem-d", "--preset", "cyclic", "--params", "4"),
+        ("theorem-d", "--preset", "cyclic", "--params", "4", "--p", "4"),
+        ("theorem-d", "--preset", "cyclic", "--params", "4", "--p", "6"),
         ("free-model", "--q", "3"),
         ("verify", "nosuite"),
         ("series", "--group", "/nonexistent/g.json", "--q", "2"),
     ],
     ids=[
         "unknown-preset", "no-group", "no-q", "bad-modulus", "bad-param-key",
-        "missing-params", "max-order", "theorem-d-no-p", "free-model-no-d",
+        "missing-params", "max-order", "theorem-d-no-p", "theorem-d-p-prime-power",
+        "theorem-d-p-composite", "free-model-no-d",
         "unknown-suite", "missing-document",
     ],
 )
