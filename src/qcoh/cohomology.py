@@ -415,17 +415,25 @@ def _canonical_span_basis(rows: np.ndarray, q: int) -> tuple[np.ndarray, tuple[i
     return basis, pres.invariant_factors
 
 
+def _gen_value_rows(group: FiniteGroup, basis: Sequence[Cochain1]) -> np.ndarray:
+    """Read-only rows of the basis homs' values on the solver generators."""
+    gens = list(_solver_gens(group))
+    rows = np.array([chi.values[gens] for chi in basis], dtype=np.int64).reshape(len(basis), len(gens))
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
-class H1Space:
-    """Hom(G, Z/q) with an invariant-factor basis.
+class _HomBasis:
+    """Homs ``group`` → Z/q with an invariant-factor ``basis``.
 
     Elements are identified with their value vectors on the solver generator
-    set; ``coordinates_of`` inverts that identification.
+    set (``_gen_values``, one row per basis hom); ``coordinates_of`` inverts
+    that identification.  Shared by :class:`H1Space` and :class:`InvariantH1`.
     """
 
     group: FiniteGroup
     modulus: int
-    gens: tuple[int, ...]
     basis: tuple[Cochain1, ...]
     invariant_factors: tuple[int, ...]
     _gen_values: np.ndarray
@@ -441,7 +449,7 @@ class H1Space:
         if not _same_group(chi.group, self.group) or chi.modulus != self.modulus:
             raise ValueError("class belongs to a different carrier")
         _require_cocycle1(chi)
-        target = chi.values[list(self.gens)]
+        target = chi.values[list(_solver_gens(self.group))]
         if not self.basis:
             if target.any():
                 raise ValueError("nonzero hom in a trivial Hom module")
@@ -460,6 +468,11 @@ class H1Space:
     def enumerate_elements(self) -> Iterable[Cochain1]:
         for coords in itertools.product(*(range(f) for f in self.invariant_factors)):
             yield self.element(coords)
+
+
+@dataclass(frozen=True, eq=False)
+class H1Space(_HomBasis):
+    """Hom(G, Z/q) with an invariant-factor basis."""
 
 
 def h1(group: FiniteGroup, q: int) -> H1Space:
@@ -481,28 +494,24 @@ def _h1(group: FiniteGroup, q: int) -> H1Space:
         if not chi.is_cocycle():
             raise AssertionError("an H¹ basis element is not a homomorphism")
         basis.append(chi)
-    gen_values = np.array([chi.values[list(gens)] for chi in basis], dtype=np.int64).reshape(len(basis), len(gens))
-    gen_values.flags.writeable = False
-    return H1Space(group, q, gens, tuple(basis), factors, gen_values)
+    return H1Space(group, q, tuple(basis), factors, _gen_value_rows(group, basis))
 
 
 # --------------------------------------------------------------------------
 # restriction / inflation
 
 
-def restriction1(chi: Cochain1, sub: Subgroup, sub_group: Optional[FiniteGroup] = None) -> Cochain1:
+def restriction1(chi: Cochain1, sub: Subgroup) -> Cochain1:
     if sub.parent is not chi.group:
         raise ValueError("subgroup belongs to a different group")
-    tgrp = sub_group if sub_group is not None else subgroup_as_group(sub)
-    return Cochain1(tgrp, chi.modulus, chi.values[list(sub.members)])
+    return Cochain1(subgroup_as_group(sub), chi.modulus, chi.values[list(sub.members)])
 
 
-def restriction2(c: Cochain2, sub: Subgroup, sub_group: Optional[FiniteGroup] = None) -> Cochain2:
+def restriction2(c: Cochain2, sub: Subgroup) -> Cochain2:
     if sub.parent is not c.group:
         raise ValueError("subgroup belongs to a different group")
-    tgrp = sub_group if sub_group is not None else subgroup_as_group(sub)
     mem = list(sub.members)
-    return Cochain2(tgrp, c.modulus, c.values[np.ix_(mem, mem)])
+    return Cochain2(subgroup_as_group(sub), c.modulus, c.values[np.ix_(mem, mem)])
 
 
 def inflation1(chi: Cochain1, data: QuotientData) -> Cochain1:
@@ -524,7 +533,7 @@ def inflation2(c: Cochain2, data: QuotientData) -> Cochain2:
 
 
 @dataclass(frozen=True, eq=False)
-class InvariantH1:
+class InvariantH1(_HomBasis):
     """Basis of the G-invariant homomorphisms T → Z/q.
 
     ``group`` is the subgroup as a standalone group; index i of it is
@@ -532,18 +541,7 @@ class InvariantH1:
     """
 
     sub: Subgroup
-    group: FiniteGroup
-    modulus: int
-    basis: tuple[Cochain1, ...]
-    invariant_factors: tuple[int, ...]
     _position: np.ndarray
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
 
     def position(self, parent_element: int) -> int:
         pos = int(self._position[parent_element])
@@ -553,29 +551,6 @@ class InvariantH1:
 
     def value(self, psi: Cochain1, parent_element: int) -> int:
         return int(psi.values[self.position(parent_element)])
-
-    def coordinates_of(self, psi: Cochain1) -> tuple[int, ...]:
-        gens = _solver_gens(self.group)
-        target = psi.values[list(gens)]
-        if not self.basis:
-            if target.any():
-                raise ValueError("nonzero hom in a trivial invariant module")
-            return ()
-        mat = np.array([b.values[list(gens)] for b in self.basis], dtype=np.int64)
-        sol = solve(ZqMatrix(mat.T, self.modulus), target)
-        if sol is None:
-            raise ValueError("hom is not in the invariant span")
-        return tuple(int(x) % f for x, f in zip(sol, self.invariant_factors))
-
-    def element(self, coords: Sequence[int]) -> Cochain1:
-        acc = np.zeros(self.group.order, dtype=np.int64)
-        for x, psi in zip(coords, self.basis):
-            acc += int(x) * psi.values
-        return Cochain1(self.group, self.modulus, acc)
-
-    def enumerate_elements(self) -> Iterable[Cochain1]:
-        for coords in itertools.product(*(range(f) for f in self.invariant_factors)):
-            yield self.element(coords)
 
 
 def _conjugation_permutations(group: FiniteGroup, sub: Subgroup) -> list[np.ndarray]:
@@ -593,7 +568,14 @@ def _conjugation_permutations(group: FiniteGroup, sub: Subgroup) -> list[np.ndar
 
 
 def invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
-    """G-invariant homomorphisms ψ: T → Z/q, i.e. ψ(g⁻¹tg) = ψ(t)."""
+    """G-invariant homomorphisms ψ: T → Z/q, i.e. ψ(g⁻¹tg) = ψ(t).
+
+    Computed once per (T, q) and kept on the group.
+    """
+    return _memoized(group, ("invariants_h1", sub.members, q), lambda: _invariants_h1(group, sub, q))
+
+
+def _invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
     if not sub.is_normal():
         raise ValueError("invariants need a normal subgroup")
     tgrp = subgroup_as_group(sub)
@@ -604,7 +586,7 @@ def invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
     perms = _conjugation_permutations(group, sub)
     m = len(full.basis)
     if m == 0:
-        return InvariantH1(sub, tgrp, q, (), (), pos)
+        return InvariantH1(tgrp, q, (), (), _gen_value_rows(tgrp, ()), sub, pos)
     vals = np.array([chi.values for chi in full.basis], dtype=np.int64)
     rows = []
     for perm in perms:
@@ -621,7 +603,7 @@ def invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
         if not all(np.array_equal(psi.values[perm], psi.values) for perm in perms):
             raise AssertionError("invariance violated")
         basis.append(psi)
-    return InvariantH1(sub, tgrp, q, tuple(basis), factors, pos)
+    return InvariantH1(tgrp, q, tuple(basis), factors, _gen_value_rows(tgrp, basis), sub, pos)
 
 
 def transgression(
@@ -629,7 +611,7 @@ def transgression(
     sub: Subgroup,
     psi: Cochain1,
     q: int,
-    data: Optional[QuotientData] = None,
+    data: QuotientData,
     section: Optional[Sequence[int]] = None,
     require_level2: bool = True,
 ) -> Cochain2:
@@ -652,8 +634,6 @@ def transgression(
     for perm in _conjugation_permutations(group, sub):
         if not np.array_equal(psi.values[perm], psi.values):
             raise ValueError("hom is not conjugation-invariant")
-    if data is None:
-        data = quotient(group, sub)
     mem = np.array(sub.members, dtype=np.int64)
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[mem] = np.arange(mem.size)

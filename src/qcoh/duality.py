@@ -65,6 +65,7 @@ from .groups import (
     enumerate_homs,
     is_isomorphic,
     normal_subgroups_within,
+    power_subgroup,
     preset,
     q_central_series,
     quotient,
@@ -342,25 +343,32 @@ def h2_full(space: H2Space) -> H2Subspace:
 
 @dataclass(frozen=True, eq=False)
 class Level2Frame:
-    """The quotient by the level-2 term, split as a free Z/q-module.
+    """The quotient by the level-2 term T, split as a free Z/q-module.
 
-    ``basis`` lists quotient elements forming an independent generating set,
-    ``chars`` the dual coordinate homomorphisms, and ``coords`` the full
-    discrete-logarithm table (row per quotient element).  ``space`` is the
-    solved H² of the quotient; ``symbolic`` the matching free coordinate
-    module on Bockstein and cup slots.
+    ``solver`` is the transgression solver of T; ``data`` (G/T) and ``space``
+    (its solved H²) are the solver's.  ``basis`` lists quotient elements
+    forming an independent generating set, ``chars`` the dual coordinate
+    homomorphisms, and ``coords`` the full discrete-logarithm table (row per
+    quotient element); ``symbolic`` is the matching free coordinate module on
+    Bockstein and cup slots.
     """
 
     group: FiniteGroup
     modulus: int
-    data: QuotientData
+    solver: TransgressionSolver
     basis: tuple[int, ...]
     chars: tuple[Cochain1, ...]
     coords: np.ndarray
-    space: H2Space
     symbolic: object
     _symbolic_v: np.ndarray
-    _generator_classes: tuple[Cochain2, ...]
+
+    @property
+    def data(self) -> QuotientData:
+        return self.solver.data
+
+    @property
+    def space(self) -> H2Space:
+        return self.solver.space
 
     @property
     def d(self) -> int:
@@ -390,9 +398,6 @@ class Level2Frame:
             raise AssertionError("class escaped the Bockstein/cup span")
         return sol[: self.symbolic.rank] % self.modulus
 
-    def symbolic_rep(self, coords: Sequence[int]) -> Cochain2:
-        return _combine2(self.quotient, self.modulus, self._generator_classes, coords)
-
 
 def _power_products(group: FiniteGroup, gens: Sequence[int], q: int) -> tuple[np.ndarray, np.ndarray]:
     """All products Πg_i^{e_i} with 0 ≤ e_i < q, as (exponent rows, elements)."""
@@ -410,27 +415,25 @@ class NotFreeLevel2(ValueError):
     """The level-2 quotient G/T is trivial or not a free Z/q-module."""
 
 
-def level2_frame(
-    group: FiniteGroup,
-    q: int,
-    preferred_parent: Sequence[int] = (),
-    data: Optional[QuotientData] = None,
-) -> Level2Frame:
-    """Split G/T as (Z/q)^d and solve its cohomology.
+def level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
+    """Split G/T as (Z/q)^d and solve its cohomology and transgressions.
 
-    Raises NotFreeLevel2 when the quotient is trivial or not a free
-    Z/q-module (no basis of order-q elements with q-fold closure jumps
-    exists); any other ValueError, such as a cap, is not about freeness.
+    Computed once per q and kept on the group.  Raises NotFreeLevel2 when
+    the quotient is trivial or not a free Z/q-module (no basis of order-q
+    elements with q-fold closure jumps exists); any other ValueError, such
+    as a cap, is not about freeness.
     """
-    if data is None:
-        data = quotient(group, q_central_series(group, q).term(2))
+    return _memoized(group, ("level2_frame", q), lambda: _level2_frame(group, q))
+
+
+def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
+    top = q_central_series(group, q).term(2)
+    data = quotient(group, top)
     Q = data.quotient
     if Q.order == 1:
         raise NotFreeLevel2("level-2 quotient is trivial")
     orders = element_orders(Q)
-    candidates: list[int] = [data.projection(int(g)) for g in preferred_parent]
-    candidates.extend(Q.generators)
-    candidates.extend(range(Q.order))
+    candidates = itertools.chain(Q.generators, range(Q.order))
     basis: list[int] = []
     current = trivial_subgroup(Q)
     for x in candidates:
@@ -459,21 +462,19 @@ def level2_frame(
     sym = symbolic_h2_elementary(d, q)
     gen_classes = [bockstein(chi) for chi in chars]
     gen_classes.extend(cup11(chars[i], chars[j]) for i, j in sym.pairs)
-    space = h2(Q, q)
-    sym_v = np.array([space.v_vector(c) for c in gen_classes], dtype=np.int64).reshape(
+    solver = _transgression_solver(group, top, q, data)
+    sym_v = np.array([solver.space.v_vector(c) for c in gen_classes], dtype=np.int64).reshape(
         len(gen_classes), -1
     )
     return Level2Frame(
         group=group,
         modulus=q,
-        data=data,
+        solver=solver,
         basis=tuple(basis),
         chars=tuple(chars),
         coords=coords,
-        space=space,
         symbolic=sym,
         _symbolic_v=sym_v,
-        _generator_classes=tuple(gen_classes),
     )
 
 
@@ -501,9 +502,6 @@ class TransgressionSolver:
     space: H2Space
     _image_v: np.ndarray
 
-    def image_subspace(self) -> H2Subspace:
-        return span_of_classes(self.space, list(self.images))
-
     def preimage(self, c: Cochain2) -> Optional[Cochain1]:
         stacked = np.concatenate([self._image_v, self.space._cob_v], axis=0)
         sol = solve(ZqMatrix(stacked.T, self.modulus), self.space.v_vector(c))
@@ -515,17 +513,16 @@ class TransgressionSolver:
         return self.invariants.element(coeffs)
 
 
-def transgression_solver(
-    group: FiniteGroup,
-    top: Subgroup,
-    q: int,
-    data: Optional[QuotientData] = None,
+def transgression_solver(group: FiniteGroup, top: Subgroup, q: int) -> TransgressionSolver:
+    return _transgression_solver(group, top, q, quotient(group, top))
+
+
+def _transgression_solver(
+    group: FiniteGroup, top: Subgroup, q: int, data: QuotientData
 ) -> TransgressionSolver:
     inv = invariants_h1(group, top, q)
-    if data is None:
-        data = quotient(group, top)
     space = h2(data.quotient, q)
-    images = tuple(transgression(group, top, psi, q, data=data) for psi in inv.basis)
+    images = tuple(transgression(group, top, psi, q, data) for psi in inv.basis)
     if images:
         image_v = np.array([space.v_vector(c) for c in images], dtype=np.int64)
     else:
@@ -596,14 +593,8 @@ class RestrictionKernel:
         return n
 
 
-def restriction_kernel(
-    group: FiniteGroup,
-    top: Subgroup,
-    floor: Subgroup,
-    q: int,
-    invariants: Optional[InvariantH1] = None,
-) -> RestrictionKernel:
-    inv = invariants if invariants is not None else invariants_h1(group, top, q)
+def restriction_kernel(group: FiniteGroup, top: Subgroup, floor: Subgroup, q: int) -> RestrictionKernel:
+    inv = invariants_h1(group, top, q)
     k = len(inv.basis)
     if k == 0:
         return RestrictionKernel(inv, (), (), np.zeros((0, 0), dtype=np.int64))
@@ -686,10 +677,8 @@ def transgression_pairing(
     top: Subgroup,
     floor: Subgroup,
     alpha: Union[H2Subspace, Callable[[H2Space], H2Subspace]],
-    solver: Optional[TransgressionSolver] = None,
 ) -> TransgressionPairing:
-    if solver is None:
-        solver = transgression_solver(group, top, q)
+    solver = transgression_solver(group, top, q)
     sub = alpha(solver.space) if callable(alpha) else alpha
     if sub.space is not solver.space:
         raise ValueError("coefficient submodule must live on the solver's quotient")
@@ -820,17 +809,16 @@ def duality_conditions(
     top: Subgroup,
     floor: Subgroup,
     alpha: Union[H2Subspace, Callable[[H2Space], H2Subspace]],
-    a0: Sequence[Cochain2] = (),
-    solver: Optional[TransgressionSolver] = None,
+    a0: Sequence[Sequence[int]] = (),
 ) -> DualityConditionsReport:
     """Evaluate all six duality conditions for (T, T₀, A) independently.
 
-    The six verdicts are asserted to agree (they are equivalent statements);
-    the returned report carries the common verdict plus the computed
-    annihilator subgroup.
+    ``a0`` optionally fixes the classes of condition (f) as H²(G/T)
+    coordinate tuples.  The six verdicts are asserted to agree (they are
+    equivalent statements); the returned report carries the common verdict
+    plus the computed annihilator subgroup.
     """
-    if solver is None:
-        solver = transgression_solver(group, top, q)
+    solver = transgression_solver(group, top, q)
     space = solver.space
     inv = solver.invariants
     sub = alpha(space) if callable(alpha) else alpha
@@ -839,7 +827,7 @@ def duality_conditions(
     kamb = len(inv.basis)
     width = kamb
     rel_rows = np.diag(np.array(inv.invariant_factors, dtype=np.int64)) if kamb else np.zeros((0, 0), dtype=np.int64)
-    K = restriction_kernel(group, top, floor, q, invariants=inv)
+    K = restriction_kernel(group, top, floor, q)
     k_rows = K.coordinate_rows
 
     # (a) restriction kernel equals the transgression preimage of A
@@ -911,7 +899,7 @@ def duality_conditions(
     cond_e = annihilator.same_as(floor)
 
     # (f) lifts into the central extensions of the A₀-classes cut out T₀
-    chosen = tuple(a0) if a0 else inter
+    chosen = tuple(space.representative(c) for c in a0) if a0 else inter
     for c in chosen:
         if not sub.contains(c):
             raise ValueError("a0 class lies outside the coefficient submodule")
@@ -1435,9 +1423,9 @@ def decomposable_transgression_conditions(
     """
     p, _ = factor_prime_power(q)
     delta = 2 if p == 2 else 1
-    top = q_central_series(group, q).term(2)
     frame = level2_frame(group, q)
-    tg = transgression(group, top, psi, q, data=frame.data)
+    top = frame.solver.top
+    tg = transgression(group, top, psi, q, frame.data)
     decomposable = h2_dec(frame.space).contains(tg)
 
     Q = frame.quotient
@@ -1457,7 +1445,7 @@ def decomposable_transgression_conditions(
         positions = np.searchsorted(m_members, t_members)
         t_in_m = Subgroup(mgrp, tuple(int(pos) for pos in positions))
         psi_m = Cochain1(subgroup_as_group(t_in_m), q, psi.values.copy())
-        tg_line = transgression(mgrp, t_in_m, psi_m, q, require_level2=False)
+        tg_line = transgression(mgrp, t_in_m, psi_m, q, quotient(mgrp, t_in_m), require_level2=False)
         if is_coboundary(tg_line.scale(delta)) is None:
             cyclic_local = False
         h1m = h1(mgrp, q)
@@ -1516,7 +1504,7 @@ def local_global_check(d: int, q: int) -> LocalGlobalReport:
         sgrp = subgroup_as_group(line)
         sspace = h2(sgrp, q)
         rows = np.array(
-            [sspace.coordinates_of(restriction2(b, line, sgrp)) for b in space.basis],
+            [sspace.coordinates_of(restriction2(b, line)) for b in space.basis],
             dtype=np.int64,
         ).reshape(len(space.basis), -1)
         maps.append((rows, np.array(sspace.invariant_factors, dtype=np.int64)))
@@ -1542,11 +1530,11 @@ def local_global_check(d: int, q: int) -> LocalGlobalReport:
         sspace = h2(sgrp, q)
         res_chi = Cochain1(sgrp, q, frame.chars[k].values[np.array(line.members, dtype=np.int64)])
         for i in range(frame.d):
-            lhs = restriction2(bockstein(frame.chars[i]), line, sgrp)
+            lhs = restriction2(bockstein(frame.chars[i]), line)
             rhs = bockstein(res_chi).scale(1 if i == k else 0)
             coefficient_route = coefficient_route and sspace.same_class(lhs, rhs)
         for i, j in frame.symbolic.pairs:
-            lhs = restriction2(cup11(frame.chars[i], frame.chars[j]), line, sgrp)
+            lhs = restriction2(cup11(frame.chars[i], frame.chars[j]), line)
             coefficient_route = coefficient_route and sspace.is_zero_class(lhs)
     return LocalGlobalReport(matches, checked, coefficient_route)
 
@@ -1612,12 +1600,10 @@ def dual_basis_check(d: int, q: int) -> DualBasisReport:
     with the closed formulas entry by entry.
     """
     model = free_level3(d, q, "sharp")
-    G = model.group
-    top = q_central_series(G, q).term(2)
-    frame = level2_frame(G, q, preferred_parent=model.sigma)
+    frame = level2_frame(model.group, q)
     if frame.d != d:
         raise AssertionError("level-2 quotient rank mismatch on the free model")
-    solver = transgression_solver(G, top, q, data=frame.data)
+    solver = frame.solver
     basis = canonical_basis(model)
     shapes: list[tuple[Optional[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]] = []
     for i in range(d):
@@ -1692,28 +1678,19 @@ def reconstruct_quotient(
     """
     sym = symbolic_h2_elementary(d, q)
     rows = np.asarray(kernel_rows, dtype=np.int64).reshape(-1, sym.rank) % q
+    bock_rows = np.eye(d, sym.rank, dtype=np.int64)
     if triple.kind == "dec-cup":
         allowed = sym.dec_rows()
     elif triple.kind == "bock":
-        allowed = np.concatenate(
-            [np.eye(d, dtype=np.int64), np.zeros((d, sym.rank - d), dtype=np.int64)], axis=1
-        )
+        allowed = bock_rows
     else:
-        allowed = np.concatenate(
-            [
-                sym.dec_rows(),
-                np.concatenate(
-                    [np.eye(d, dtype=np.int64), np.zeros((d, sym.rank - d), dtype=np.int64)],
-                    axis=1,
-                ),
-            ],
-            axis=0,
-        )
+        allowed = np.concatenate([sym.dec_rows(), bock_rows], axis=0)
     allowed_h = howell_form(_as_matrix(allowed, sym.rank, q))
     for row in rows:
         if not row_span_contains(allowed_h, row):
             raise ValueError("kernel data is not inside the coefficient submodule")
     sharp = free_level3(d, q, "sharp")
+    G = sharp.group
     if rows.shape[0]:
         combos = kernel(ZqMatrix(rows, q)).entries % q
     else:
@@ -1722,21 +1699,17 @@ def reconstruct_quotient(
         element_of(sharp, np.zeros(d, dtype=np.int64), combo[:d], combo[d:])
         for combo in combos
     ]
+    # the kind's model is sharp modulo the δq-th powers (the flat model), the
+    # commutators, or nothing
     if triple.kind == "dec-cup":
-        flat = free_level3(d, q, "flat")
-        if flat.quotient_data is None:
-            raise AssertionError("the flat model carries no quotient data")
-        proj = flat.quotient_data.projection
-        model_group = flat.group
-        seeds = [int(proj(s)) for s in seeds]
+        kill = power_subgroup(G, whole_group(G), sharp.delta * q)
     elif triple.kind == "bock":
-        kill = subgroup_closure(sharp.group, sharp.commutator_central)
-        qd = quotient(sharp.group, kill)
-        model_group = qd.quotient
-        seeds = [int(qd.projection(s)) for s in seeds]
+        kill = subgroup_closure(G, sharp.commutator_central)
     else:
-        model_group = sharp.group
-    ann = subgroup_closure(model_group, seeds)
+        kill = trivial_subgroup(G)
+    model = quotient(G, kill)
+    model_group = model.quotient
+    ann = subgroup_closure(model_group, [int(model.projection(s)) for s in seeds])
     data = quotient(model_group, ann)
     return Reconstruction(triple.kind, model_group, ann, data)
 

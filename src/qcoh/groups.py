@@ -415,9 +415,6 @@ class Subgroup:
     def contains(self, x: int) -> bool:
         return bool(self.mask[x])
 
-    def is_whole(self) -> bool:
-        return self.order == self.parent.order
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -458,11 +455,16 @@ def subgroup_closure(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
-    """A standalone FiniteGroup on the members of ``sub``.
+    """A standalone FiniteGroup on the members of ``sub``, kept on the parent
+    per member tuple.
 
     Element i of the result is ``sub.members[i]``; use the member tuple to
     translate indices back into the parent group.
     """
+    return _memoized(sub.parent, ("subgroup_as_group", sub.members), lambda: _subgroup_as_group(sub))
+
+
+def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     mem = np.array(sub.members, dtype=np.int64)
     pos = np.full(sub.parent.order, -1, dtype=np.int64)
     pos[mem] = np.arange(mem.size)
@@ -750,15 +752,6 @@ class GroupHom:
 
     def is_surjective(self) -> bool:
         return len(self.image_members()) == self.target.order
-
-    def is_injective(self) -> bool:
-        return len(self.image_members()) == self.source.order
-
-    def compose(self, first: "GroupHom") -> "GroupHom":
-        """self ∘ first."""
-        if first.target is not self.source:
-            raise ValueError("composition mismatch")
-        return GroupHom(first.source, self.target, self.images[first.images])
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.name} -> {self.target.name})"

@@ -329,6 +329,25 @@ def test_cli_reconstruct(capsys):
     assert "reconstruction isomorphic: true" in out
 
 
+def test_cli_reconstruct_cap_skips(capsys):
+    # G/T = (Z/2)^7 is free, but its order 128 is above the H² solver cap:
+    # the cap must not read as a failed hypothesis
+    code, out = _run(capsys, "reconstruct", "--preset", "elementary_abelian", "--params", "2", "7",
+                     "--q", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [r["status"] for r in data["checks"]] == [SKIPPED]
+    assert "exceeds the H² solver cap 64" in data["checks"][0]["details"]
+
+
+def test_cli_reconstruct_not_free_is_hypothesis_not_met(capsys):
+    # G/T = Z/2 is not free over Z/4
+    code, out = _run(capsys, "reconstruct", "--preset", "cyclic", "--params", "2", "--q", "4")
+    assert code == 3
+    assert "HYPOTHESIS-NOT-MET" in out
+    assert "not a free module" in out
+
+
 def test_cli_free_model_emit_roundtrip(tmp_path, capsys):
     emitted = tmp_path / "flat23.json"
     code, out = _run(capsys, "free-model", "--d", "2", "--q", "3",

@@ -502,7 +502,7 @@ def test_h1_restriction_kills_level2(d4):
 def test_transgression_of_zero_hom(d4):
     sub = center(d4)
     tgrp = subgroup_as_group(sub)
-    tg = transgression(d4, sub, zero1(tgrp, 2), 2)
+    tg = transgression(d4, sub, zero1(tgrp, 2), 2, quotient(d4, sub))
     assert not tg.values.any()
 
 
@@ -576,10 +576,11 @@ def test_transgression_level2_guard(d4):
     rot = subgroup_closure(d4, [d4.generators[0]])
     tgrp = subgroup_as_group(rot)
     psi = h1(tgrp, 2).basis[0]
+    data = quotient(d4, rot)
     with pytest.raises(ValueError):
-        transgression(d4, rot, psi, 2)
+        transgression(d4, rot, psi, 2, data)
     # the guard is the only obstruction: lifting it computes a factor set
-    tg = transgression(d4, rot, psi, 2, require_level2=False)
+    tg = transgression(d4, rot, psi, 2, data, require_level2=False)
     assert tg.is_cocycle()
 
 
@@ -590,7 +591,7 @@ def test_transgression_rejects_non_invariant_hom(d4):
     pos = rot.members.index(d4.generators[0])
     psi = next(c for c in h1(tgrp, 4).enumerate_elements() if c.values[pos] == 1)
     with pytest.raises(ValueError):
-        transgression(d4, rot, psi, 4, require_level2=False)
+        transgression(d4, rot, psi, 4, quotient(d4, rot), require_level2=False)
 
 
 # ---------------------------------------------------------------------------

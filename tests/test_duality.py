@@ -9,6 +9,9 @@ derivations on the small standard groups before being frozen into the
 assertions below.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from qcoh.cohomology import (
     h1,
     h2,
     hat_ring,
+    invariants_h1,
     is_coboundary,
     span_of_classes,
     symbolic_h2_elementary,
@@ -55,12 +59,12 @@ from qcoh.duality import (
     restriction_kernel,
     substitution_pairing,
     transgression_pairing,
-    transgression_solver,
     triple_of,
     TRIPLE_KINDS,
 )
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
+    Subgroup,
     commutator_subgroup,
     is_isomorphic,
     normal_subgroups_within,
@@ -368,14 +372,10 @@ def test_explicit_a0_classes_route(h27):
     """Condition (f) via explicitly chosen generators of A ∩ img(trg)."""
     tri = triple_of("dec-cup")
     top = tri.top(h27, 3)
-    solver = transgression_solver(h27, top, 3)
     # the transgression image is all of H²(G/T) ∩ dec here; use its basis
-    sub = tri.alpha_image(solver.space)
+    sub = tri.alpha_image(level2_frame(h27, 3).space)
     inter = [c for c in sub.coordinate_members() if any(c)]
-    classes = [solver.space.representative(c) for c in inter]
-    rep = duality_conditions(
-        h27, 3, top, tri.floor(h27, 3), tri.alpha_image, a0=classes, solver=solver
-    )
+    rep = duality_conditions(h27, 3, top, tri.floor(h27, 3), tri.alpha_image, a0=inter)
     assert rep.as_tuple() == (True,) * 6
 
 
@@ -587,6 +587,46 @@ def test_memo_twist_kernel_solves_each_system_once(monkeypatch):
     kept = [v for k, v in g._memo.items() if k[0] == "twist_kernel"]
     if not kept or any(arr.flags.writeable for arr in kept):
         raise AssertionError("kept twist kernels must exist and be read-only")
+
+
+def test_memo_level2_frame_is_kept_and_owns_its_solver(h27):
+    frame = level2_frame(h27, 3)
+    if level2_frame(h27, 3) is not frame:
+        raise AssertionError("the level-2 frame must be built once per (group, q)")
+    solver = frame.solver
+    if frame.space is not solver.space or frame.data is not solver.data:
+        raise AssertionError("the frame's G/T and H² must be those of its own solver")
+    if not solver.top.same_as(q_central_series(h27, 3).term(2)):
+        raise AssertionError("the frame's solver must transgress from the level-2 term")
+
+
+def test_memo_invariants_and_subgroup_groups_are_kept(h27):
+    top = q_central_series(h27, 3).term(2)
+    inv = invariants_h1(h27, top, 3)
+    again = Subgroup(h27, top.members)  # an equal subgroup built anew
+    if invariants_h1(h27, again, 3) is not inv:
+        raise AssertionError("invariants_h1 must be kept per (T, q)")
+    tgrp = subgroup_as_group(top)
+    if subgroup_as_group(again) is not tgrp or inv.group is not tgrp:
+        raise AssertionError("subgroup_as_group must be kept on the parent per member tuple")
+
+
+def test_memo_level2_frame_is_freed_with_its_group():
+    g = preset("heisenberg", [3])
+    level2_frame(g, 3)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    if ref() is not None:
+        raise AssertionError("the level-2 facts kept on a group must not keep it alive")
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_memo_dual_basis_from_the_frame_solver_is_identity(d, q):
+    """Every sharp model up to the order cap: the frame's own basis and solver give the identity."""
+    rep = dual_basis_check(d, q)
+    if not (rep.identity and rep.formulas_match):
+        raise AssertionError(f"dual basis on sharp({d},{q}) is not the identity: {rep.matrix}")
 
 
 @pytest.mark.parametrize("kind", ["bock-cup", "bock"])
