@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from qcoh.groups import (
+    _BLOCK_CELLS,
     FiniteGroup,
     GroupHom,
     PcPresentation,
@@ -216,15 +217,18 @@ class Cochain2:
         t = self.group.table
         c = self.values
         n = self.group.order
-        q = self.modulus
-        chunk = max(1, (1 << 22) // n)
+        chunk = max(1, _BLOCK_CELLS // n)
         for s in _solver_gens(self.group):
             ys = t[:, s]
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                xy = t[lo:hi, :]
-                lhs = c[None, :, s] - c[xy, s] + c[np.arange(lo, hi)[:, None], ys[None, :]] - c[lo:hi, :]
-                if (lhs % q).any():
+                # c(y,s) − c(xy,s) + c(x,ys) − c(x,y) on the rows x of the block,
+                # summed in place in one block-sized array
+                lhs = c[lo:hi][:, ys]
+                lhs -= c[lo:hi]
+                lhs -= c[t[lo:hi], s]
+                lhs += c[:, s]
+                if np.remainder(lhs, self.modulus, out=lhs).any():
                     return False
         return True
 
@@ -261,8 +265,15 @@ def zero2(group: FiniteGroup, q: int) -> Cochain2:
 
 def coboundary1(u: Cochain1) -> Cochain2:
     """∂u(g,h) = u(g) + u(h) − u(gh)."""
-    v = u.values
-    return Cochain2(u.group, u.modulus, v[:, None] + v[None, :] - v[u.group.table])
+    return Cochain2(u.group, u.modulus, _coboundary_values(u.values, u.group.table))
+
+
+def _coboundary_values(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """v(g) + v(h) − v(gh) over all pairs, summed in place in one n × n int64 array."""
+    out = v[table]
+    np.subtract(v[:, None], out, out=out)
+    out += v[None, :]
+    return out
 
 
 def _require_cocycle1(chi: Cochain1) -> None:
@@ -312,7 +323,7 @@ def bockstein(chi: Cochain1, lift: Optional[Sequence[int]] = None) -> Cochain2:
             raise ValueError("lift must reduce to the cocycle mod q")
         if tilde[chi.group.identity] != 0:
             raise ValueError("lift must vanish at the identity")
-    num = tilde[:, None] + tilde[None, :] - tilde[chi.group.table]
+    num = _coboundary_values(tilde, chi.group.table)
     if (num % q).any():
         raise ValueError("lift failure: coboundary numerator not divisible")
     out = Cochain2(chi.group, q, num // q)

@@ -872,9 +872,13 @@ def duality_conditions(
     )
 
     # (c) kernel toward G/T₀ sits in A and matches the inflation kernel
-    qd0 = quotient(group, floor)
-    mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
-    kp_classes = _inflation_kernel_classes(space, qd0.quotient, mid_hom.images, space.basis)
+    if floor.is_trivial():
+        # G/T₀ is G itself, and G → G/T is the solver's projection
+        mid_hom = solver.data.projection
+    else:
+        qd0 = quotient(group, floor)
+        mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
+    kp_classes = _inflation_kernel_classes(space, mid_hom.source, mid_hom.images, space.basis)
     kp_sub = span_of_classes(space, kp_classes)
     cond_c = _subspace_contains(sub, kp_sub) and _subspace_equal(kp_sub, ker_sub)
 

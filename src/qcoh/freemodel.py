@@ -10,6 +10,13 @@ factors ([σ_j, σ_i] = [σ_i, σ_j]^{-1} per swapped letter pair), and exponent
 overflow past q emits central σ_i^q factors.  The commutator convention is
 [h, g] = h⁻¹g⁻¹hg throughout.
 
+So sharp is a central extension of (Z/q)^d by the (c, b) part, and its table
+is built as one: with A the sum of the a-parts mod q, Zadd the sum of the
+central parts and f(a, a′) the cocycle of carries (a_i + a′_i) // q and
+commutator terms −a_j·a′_i, the product of (a, z) and (a′, z′) is
+(A[a, a′], Zadd[Zadd[z, z′], f(a, a′)]), one gather per block of rows
+(see ``_sharp_table``).
+
 The flat model is *constructed as a quotient of sharp* by the subgroup of
 (δq)-th powers, δ = 2 for p = 2 and 1 otherwise — never by its own collection
 law — so its correctness is inherited from sharp plus the verified quotient
@@ -72,7 +79,6 @@ class FreeLevel3Model:
     power_labels: tuple[str, ...]
     commutator_labels: tuple[str, ...]
     coords: np.ndarray
-    parent: Optional["FreeLevel3Model"] = None
     quotient_data: Optional[QuotientData] = None
 
     @property
@@ -114,37 +120,51 @@ class CanonicalBasis:
 
 
 def _sharp_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table of sharp(d, q) and the coordinates of its elements.
+
+    An index x = a + q^d·z splits into the d digits a = (a_i) and the
+    m = d + C(d,2) central digits z = (c_i; b_ij).  The central part is shifted
+    by a 2-cocycle f of (Z/q)^d, so
+
+        index(x·y) = A[a, a′] + q^d · Zadd[Zadd[z, z′], f(a, a′)]
+
+    with A the digitwise sum of the a-parts mod q and Zadd that of central
+    indices.  The c_i-digit of f(a, a′) is the carry (a_i + a′_i) // q; its
+    b_ij-digit is −a_j·a′_i mod q, since the σ_j letters of the left factor
+    sweep past the σ_i letters of the right one and emit [σ_i, σ_j]⁻¹ each.
+    A and the shift by f fold into R[a, w, a′] = A[a, a′] + q^d·Zadd[w, f(a, a′)],
+    so a block of rows with central parts z is one gather of R at
+    (a, Zadd[z, z′]), written straight into the table.
+    """
     pairs = _pair_list(d)
-    k = 2 * d + len(pairs)
-    n = q**k
+    m = d + len(pairs)
+    n = q ** (d + m)
     if n > DEFAULT_MAX_ORDER:
-        raise ValueError(f"sharp model order {q}^{k} exceeds the cap {DEFAULT_MAX_ORDER}")
-    radix = q ** np.arange(k, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    coords = (idx[:, None] // radix[None, :]) % q
-    a_blk = coords[:, :d]
-    c_blk = coords[:, d : 2 * d]
-    b_blk = coords[:, 2 * d :]
+        raise ValueError(f"sharp model order {q}^{d + m} exceeds the cap {DEFAULT_MAX_ORDER}")
+    na, nz = q**d, q**m
+    radix = q ** np.arange(d + m, dtype=np.int64)
+
+    def digits(count: int, width: int) -> np.ndarray:
+        return (np.arange(count, dtype=np.int64)[:, None] // radix[:width]) % q
+
+    coords, a, z = digits(n, d + m), digits(na, d), digits(nz, m)
+    asum = a[:, None, :] + a[None, :, :]
+    kap = [-a[:, None, j] * a[None, :, i] for i, j in pairs]
+    f = (np.dstack([asum // q, *kap]) % q) @ radix[:m]
+    zadd = ((z[:, None, :] + z[None, :, :]) % q) @ radix[:m]
+    A = (asum % q) @ radix[:d]
+    R = zadd[np.arange(nz)[:, None], f[:, None, :]]
+    R *= na
+    R += A[:, None, :]
+    R = R.reshape(na * nz, na)
 
     table = np.empty((n, n), dtype=np.int64)
-    chunk = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        a1 = a_blk[lo:hi, None, :]
-        a2 = a_blk[None, :, :]
-        asum = a1 + a2
-        anew = asum % q
-        carry = asum // q
-        cnew = (c_blk[lo:hi, None, :] + c_blk[None, :, :] + carry) % q
-        blocks = [anew, cnew]
-        if pairs:
-            kap = np.empty((hi - lo, n, len(pairs)), dtype=np.int64)
-            for t, (i, j) in enumerate(pairs):
-                # σ_j letters of the left factor sweep past σ_i letters of the
-                # right factor and emit [σ_i, σ_j]^{-1} each
-                kap[:, :, t] = -a1[:, :, j] * a2[:, :, i]
-            blocks.append((b_blk[lo:hi, None, :] + b_blk[None, :, :] + kap) % q)
-        table[lo:hi] = np.concatenate(blocks, axis=2) @ radix
+    rows_at = np.arange(na, dtype=np.int64)[:, None] * nz
+    step = max(1, _BLOCK_CELLS // (na * n))
+    for lo in range(0, nz, step):
+        hi = min(nz, lo + step)
+        out = table[lo * na : hi * na].reshape(hi - lo, na, nz, na)
+        np.take(R, rows_at + zadd[lo:hi, None, :], axis=0, out=out)
     return table, coords
 
 
@@ -165,7 +185,6 @@ def _build_sharp(d: int, q: int) -> FreeLevel3Model:
         if group.commutator(sigma[i], sigma[j]) != commutator_central[t]:
             raise AssertionError("collection commutator sign broken")
 
-    coords = coords.copy()
     coords.flags.writeable = False
     model = FreeLevel3Model(
         d=d,
@@ -223,7 +242,6 @@ def _build_flat(d: int, q: int) -> FreeLevel3Model:
         power_labels=tuple(f"s{i + 1}^{q}" for i in range(d)),
         commutator_labels=tuple(f"[s{i + 1},s{j + 1}]" for i, j in sharp.pairs),
         coords=coords,
-        parent=sharp,
         quotient_data=data,
     )
     _check_model_series(model)

@@ -13,7 +13,7 @@ import numpy as np
 
 from qcoh.cohomology import Cochain1, Cochain2, _coboundary_rows, _solver_gens, _solver_tree, bockstein, cup11, is_coboundary
 from qcoh.freemodel import free_level3
-from qcoh.groups import FiniteGroup, GroupHom, preset, q_central_series, quotient
+from qcoh.groups import _BLOCK_CELLS, FiniteGroup, GroupHom, preset, q_central_series, quotient
 from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains
 
 
@@ -494,6 +494,45 @@ def pc_word_value(group, gens, word) -> int:
         for _ in range(int(e)):
             acc = int(group.table[acc, g])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the sharp model's table by collection
+
+
+def sharp_table_by_collection(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table and coordinates of sharp(d, q), collecting every digit of every cell.
+
+    Each product adds the a-digits mod q, passes their carries into the
+    σ_i^q digits and adds −a_j·a′_i to the [σ_i, σ_j] digit, then reads the
+    index off all 2d + C(d,2) digits at once.
+    """
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    k = 2 * d + len(pairs)
+    n = q**k
+    radix = q ** np.arange(k, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    coords = (idx[:, None] // radix[None, :]) % q
+    a_blk = coords[:, :d]
+    c_blk = coords[:, d : 2 * d]
+    b_blk = coords[:, 2 * d :]
+
+    table = np.empty((n, n), dtype=np.int64)
+    chunk = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        a1 = a_blk[lo:hi, None, :]
+        a2 = a_blk[None, :, :]
+        asum = a1 + a2
+        carry = asum // q
+        blocks = [asum % q, (c_blk[lo:hi, None, :] + c_blk[None, :, :] + carry) % q]
+        if pairs:
+            kap = np.empty((hi - lo, n, len(pairs)), dtype=np.int64)
+            for t, (i, j) in enumerate(pairs):
+                kap[:, :, t] = -a1[:, :, j] * a2[:, :, i]
+            blocks.append((b_blk[lo:hi, None, :] + b_blk[None, :, :] + kap) % q)
+        table[lo:hi] = np.concatenate(blocks, axis=2) @ radix
+    return table, coords
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,30 @@ def test_cocycle_check_agrees_with_all_triples(seed):
     assert c.is_cocycle() == full
 
 
+def test_cocycle_check_over_several_row_blocks():
+    """One wrong cell in the last row block is found, and the in-place
+    coboundary sum equals v(g) + v(h) − v(gh); also under ``python -O``."""
+    from qcoh.groups import _BLOCK_CELLS
+
+    g = preset("cyclic", [1024])
+    n = g.order
+    if n * n <= 2 * _BLOCK_CELLS:
+        raise AssertionError("the check must run over several row blocks")
+    v = np.random.default_rng(11).integers(0, 4, size=n)
+    v[g.identity] = 0
+    c = coboundary1(Cochain1(g, 4, v))
+    np.testing.assert_array_equal(c.values, (v[:, None] + v[None, :] - v[g.table]) % 4)
+    if not c.is_cocycle():
+        raise AssertionError("a coboundary must pass the cocycle check")
+    # c(x, y) for y outside the slice generators enters only the equations of row x
+    x = n - 1 if g.identity != n - 1 else n - 2
+    y = next(y for y in range(n) if y != g.identity and y not in cohomology._solver_gens(g))
+    vals = c.values.copy()
+    vals[x, y] += 1
+    if Cochain2(g, 4, vals).is_cocycle():
+        raise AssertionError("a cell changed in the last row block must fail the check")
+
+
 def test_coboundary_is_cocycle(h27):
     rng = np.random.default_rng(5)
     vals = rng.integers(0, 3, size=27)

@@ -396,6 +396,30 @@ def test_duality_exact_at_order_cap(sharp25, kind, floor_order):
     assert (floor.order, rep.annihilator.order) == (floor_order, floor_order)
 
 
+def test_trivial_floor_builds_no_copy_of_the_group(monkeypatch):
+    """Condition (c) with T₀ = 1 reads G/T₀ as G: no quotient of order |G| is built."""
+    import qcoh.cohomology as cohomology_mod
+    import qcoh.groups as groups_mod
+
+    g = free_level3(2, 4, "sharp").group
+    tri = triple_of("bock-cup")
+    top, floor = tri.top(g, 4), tri.floor(g, 4)
+    assert floor.is_trivial()
+    built = []
+    original = groups_mod.quotient
+
+    def recorded(group, normal):
+        data = original(group, normal)
+        built.append(data.quotient.order)
+        return data
+
+    for mod in (duality_mod, cohomology_mod, groups_mod):
+        monkeypatch.setattr(mod, "quotient", recorded)
+    rep = duality_conditions(g, 4, top, floor, tri.alpha_image)
+    assert rep.as_tuple() == (True,) * 6
+    assert built and g.order not in built
+
+
 def test_wrong_space_coefficients_rejected(h27):
     tri = triple_of("dec-cup")
     top = tri.top(h27, 3)

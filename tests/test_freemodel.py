@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qcoh.freemodel import (
     canonical_basis,
     element_of,
@@ -77,6 +78,20 @@ def test_order_cap_errors():
         free_level3(0, 2)
     with pytest.raises(ValueError):
         free_level3(2, 2, "semisharp")
+
+
+@pytest.mark.parametrize(
+    "d, q",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)] + [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 49, 64)],
+)
+def test_sharp_table_matches_collection_oracle(d, q):
+    """The central-extension table equals collection, cell for cell (also under ``-O``)."""
+    table, coords = freemodel._sharp_table(d, q)
+    want_table, want_coords = oracles.sharp_table_by_collection(d, q)
+    np.testing.assert_array_equal(table, want_table)
+    np.testing.assert_array_equal(coords, want_coords)
+    if (table.dtype, coords.dtype) != (want_table.dtype, want_coords.dtype):
+        raise AssertionError(f"dtypes {table.dtype}, {coords.dtype} differ from the oracle's")
 
 
 # ------------------------------------------------------- small isomorphisms
