@@ -255,10 +255,6 @@ class Cochain2:
             raise ValueError("cochains live on different carriers")
 
 
-def zero1(group: FiniteGroup, q: int) -> Cochain1:
-    return Cochain1(group, q, np.zeros(group.order, dtype=np.int64))
-
-
 def zero2(group: FiniteGroup, q: int) -> Cochain2:
     return Cochain2(group, q, np.zeros((group.order, group.order), dtype=np.int64))
 
@@ -1154,10 +1150,6 @@ def class_from_extension(
     return out
 
 
-def class_of_spec(spec: CentralExtensionSpec) -> Cochain2:
-    return class_from_extension(spec.total, spec.embed, spec.projection, spec.modulus, spec.section)
-
-
 # --------------------------------------------------------------------------
 # tensor-power quotients (quadratic hull and friends)
 
@@ -1165,38 +1157,39 @@ def class_of_spec(spec: CentralExtensionSpec) -> Cochain2:
 def tensor_kill_rows(
     factors: Sequence[int],
     q: int,
-    r: int,
+    degrees: Sequence[int],
     t: int,
     alpha_kills: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Rows spanning the pure tensors with an α-killed t-subsequence.
+) -> tuple[np.ndarray, ...]:
+    """Rows spanning the pure tensors with an α-killed t-subsequence, one
+    array for each degree r in ``degrees``.
 
     The ambient module is the r-th tensor power of ⊕ Z/f_k; a pure tensor
     v₁⊗···⊗v_r contributes iff α(v_{j₁},…,v_{j_t}) = 0 for some
     j₁ < ··· < j_t.  ``alpha_kills`` maps an (N, t, m) array of coordinate
-    vectors to N booleans; it is called once, on all t-tuples.  Degree cap r ≤ 3.
+    vectors to N booleans; it is called at most once, on all t-tuples, and
+    its answer serves every degree.  Degree cap r ≤ 3.
     """
     m = len(factors)
-    if r > 3:
-        raise ValueError("tensor degree capped at 3")
-    if r < 1:
-        raise ValueError("tensor degree must be positive")
-    if r < t:
-        return np.zeros((0, m**r), dtype=np.int64)
+    if not all(1 <= r <= 3 for r in degrees):
+        raise ValueError("tensor degrees must lie between 1 and 3")
     elems = np.array(list(itertools.product(*(range(f) for f in factors))), dtype=np.int64)
     ne = elems.shape[0]
-    tuples = np.indices((ne,) * t).reshape(t, -1).T
-    killed = np.asarray(alpha_kills(elems[tuples]), dtype=bool).reshape((ne,) * t)
-    hit = np.zeros((ne,) * r, dtype=bool)
-    for sub in itertools.combinations(range(r), t):
-        hit |= killed.reshape([ne if j in sub else 1 for j in range(r)])
-    tups = np.argwhere(hit)
-    if not tups.size:
-        return np.zeros((0, m**r), dtype=np.int64)
-    vecs = elems[tups[:, 0]]
-    for j in range(1, r):
-        vecs = (vecs[:, :, None] * elems[tups[:, j]][:, None, :]).reshape(len(tups), -1)
-    return np.unique(vecs % q, axis=0)
+    killed: Optional[np.ndarray] = None
+    out = []
+    for r in degrees:
+        if killed is None and r >= t:
+            tuples = np.indices((ne,) * t).reshape(t, -1).T
+            killed = np.asarray(alpha_kills(elems[tuples]), dtype=bool).reshape((ne,) * t)
+        hit = np.zeros((ne,) * r, dtype=bool)
+        for sub in itertools.combinations(range(r), t):
+            hit |= killed.reshape([ne if j in sub else 1 for j in range(r)])
+        tups = np.argwhere(hit)
+        vecs = elems[tups[:, 0]]
+        for j in range(1, r):
+            vecs = (vecs[:, :, None] * elems[tups[:, j]][:, None, :]).reshape(len(tups), m ** (j + 1))
+        out.append(np.unique(vecs % q, axis=0))
+    return tuple(out)
 
 
 def _tensor_relation_rows(factors: Sequence[int], q: int, r: int) -> np.ndarray:
@@ -1254,10 +1247,9 @@ def hat_ring(group: FiniteGroup, q: int, max_degree: int = 2, cap: int = H2_CAP)
     def cup_is_zero(pairs: np.ndarray) -> np.ndarray:
         return ~(np.einsum("ni,nj,ijk->nk", pairs[:, 0], pairs[:, 1], cup_tbl) % h2f).any(axis=1)
 
-    degrees = {}
-    for r in range(1, max_degree + 1):
-        rows = tensor_kill_rows(h1s.invariant_factors, q, r, 2, cup_is_zero)
-        degrees[r] = tensor_quotient(h1s.invariant_factors, q, r, rows)
+    rs = range(1, max_degree + 1)
+    kills = tensor_kill_rows(h1s.invariant_factors, q, rs, 2, cup_is_zero)
+    degrees = {r: tensor_quotient(h1s.invariant_factors, q, r, rows) for r, rows in zip(rs, kills)}
     dec = h2_dec(sp)
     return HatRing(group, q, degrees, dec.order)
 

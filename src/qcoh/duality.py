@@ -42,7 +42,6 @@ from .cohomology import (
     span_of_classes,
     symbolic_h2_elementary,
     tensor_kill_rows,
-    tensor_quotient,
     transgression,
 )
 from .cohomology import (
@@ -74,7 +73,7 @@ from .groups import (
     trivial_subgroup,
     whole_group,
 )
-from .groups import _extend_gen_images, _generator_tree, _is_multiplicative, _memoized
+from .groups import _hom_images, _memoized
 from .zqlin import (
     AbGroupPresentation,
     PairingReport,
@@ -332,11 +331,6 @@ def _subspace_contains(big: H2Subspace, small: H2Subspace) -> bool:
     return all(row_span_contains(big._span, row) for row in small._span.matrix.entries)
 
 
-def h2_full(space: H2Space) -> H2Subspace:
-    """The whole of H² as a subspace (identity coefficient submodule)."""
-    return span_of_classes(space, list(space.basis))
-
-
 # --------------------------------------------------------------------------
 # the level-2 quotient as a free Z/q-module
 
@@ -534,6 +528,15 @@ def _transgression_solver(
 # the two pairings
 
 
+def _power_commutator_floor(group: FiniteGroup, top: Subgroup, q: int) -> Subgroup:
+    """T^q[T,G]: the subgroup generated by the q-th powers of T and by [T, G]."""
+    return subgroup_closure(
+        group,
+        [group.power(t, q) for t in top.members]
+        + list(commutator_subgroup(group, top, whole_group(group)).members),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CentralSubquotient:
     """T/T₀ as a Z/q-module with parent representatives for its generators."""
@@ -554,11 +557,7 @@ def central_subquotient(
         raise ValueError("both subgroups must be normal")
     if not all(top.contains(m) for m in floor.members):
         raise ValueError("floor must sit inside the top subgroup")
-    lower = subgroup_closure(
-        group,
-        [group.power(t, q) for t in top.members]
-        + list(commutator_subgroup(group, top, whole_group(group)).members),
-    )
+    lower = _power_commutator_floor(group, top, q)
     if not all(floor.contains(m) for m in lower.members):
         raise ValueError("floor must contain T^q[T,G]")
     tgrp = subgroup_as_group(top)
@@ -635,11 +634,7 @@ def substitution_pairing(
 ) -> SubstitutionPairing:
     """The substitution pairing; ``floor`` defaults to T^q[T,G]."""
     if floor is None:
-        floor = subgroup_closure(
-            group,
-            [group.power(t, q) for t in top.members]
-            + list(commutator_subgroup(group, top, whole_group(group)).members),
-        )
+        floor = _power_commutator_floor(group, top, q)
     module = central_subquotient(group, top, floor, q)
     ker = restriction_kernel(group, top, floor, q)
     table = np.array(
@@ -780,20 +775,14 @@ def _lift_kernel_mask(
     group: FiniteGroup, data: QuotientData, ext: CentralExtensionSpec
 ) -> np.ndarray:
     """Intersection of Ker(Ψ) over all lifts Ψ: G → E above the projection."""
-    gens = list(group.generators)
+    gens = group.generators
     if ext.modulus ** len(gens) > SEARCH_CAP:
         raise ValueError("lift enumeration too large")
-    tree = _generator_tree(group, gens).T.tolist()
     pi = data.projection.images
     m = ext.base.order
-    fibers = [
-        [a * m + int(pi[g]) for a in range(ext.modulus)] for g in gens
-    ]
+    fibers = [[a * m + int(pi[g]) for a in range(ext.modulus)] for g in gens]
     acc: Optional[np.ndarray] = None
-    for assignment in itertools.product(*fibers):
-        images = _extend_gen_images(group, tree, assignment, ext.total)
-        if not _is_multiplicative(group, ext.total, images):
-            continue
+    for images in _hom_images(group, ext.total, fibers):
         if not np.array_equal(ext.projection.images[images], pi):
             raise AssertionError("a lift does not cover the projection")
         mask = images == ext.total.identity
@@ -978,20 +967,6 @@ def _alpha_zero_predicate(
     return kills
 
 
-def alpha_tensor_quotient(
-    group: FiniteGroup,
-    q: int,
-    triple: DualityTriple,
-    r: int,
-    t: int,
-) -> AbGroupPresentation:
-    """The degree-r tensor power of H¹(G) modulo the α-killed t-spans."""
-    h1s = h1(group, q)
-    pred = _alpha_zero_predicate(triple, t, h1s.basis, group, q)
-    kill = tensor_kill_rows(h1s.invariant_factors, q, r, t, pred)
-    return tensor_quotient(h1s.invariant_factors, q, r, kill)
-
-
 # --------------------------------------------------------------------------
 # inflation isomorphism table (quotients by N ≤ T)
 
@@ -1037,14 +1012,13 @@ def inflation_isomorphism_table(
         tensor_iso: dict = {}
         m = len(h1n.invariant_factors)
         for t in triple.active_degrees:
+            rs = [r for r in degrees if r >= t]
             pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q)
             pred_up = _alpha_zero_predicate(triple, t, h1n.basis, group, q, images=qd.projection.images)
-            for r in degrees:
-                if r < t:
-                    continue
+            kills_down = tensor_kill_rows(h1n.invariant_factors, q, rs, t, pred_down)
+            kills_up = tensor_kill_rows(h1n.invariant_factors, q, rs, t, pred_up)
+            for r, kill_down, kill_up in zip(rs, kills_down, kills_up):
                 base = _tensor_relation_rows(h1n.invariant_factors, q, r)
-                kill_down = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_down)
-                kill_up = tensor_kill_rows(h1n.invariant_factors, q, r, t, pred_up)
                 tensor_iso[(r, t)] = _span_equal(
                     np.concatenate([kill_down.reshape(-1, m**r), base], axis=0),
                     np.concatenate([kill_up.reshape(-1, m**r), base], axis=0),
@@ -1351,9 +1325,14 @@ def floor_by_intersection(group: FiniteGroup, q: int, triple: DualityTriple) -> 
     An empty extension list leaves the intersection at T itself.
     """
     ext = extension_list(group, q, triple)
-    mask = triple.top(group, q).mask.copy()
-    for entry in ext.entries:
-        for hom in enumerate_homs(group, entry.group, surjective_only=True):
+    return _epimorphism_kernel_meet(group, [e.group for e in ext.entries], triple.top(group, q).mask)
+
+
+def _epimorphism_kernel_meet(group: FiniteGroup, targets: Sequence[FiniteGroup], mask: np.ndarray) -> Subgroup:
+    """The members of ``mask`` in Ker(π) for every epimorphism π of ``group`` onto each target."""
+    mask = mask.copy()
+    for tgt in targets:
+        for hom in enumerate_homs(group, tgt, surjective_only=True):
             mask &= hom.kernel().mask
     return Subgroup(group, tuple(int(x) for x in np.flatnonzero(mask)))
 
@@ -1382,11 +1361,7 @@ def lower3_intersection_check(group: FiniteGroup, p: int) -> Lower3Report:
         targets = [preset("cyclic", [2]), preset("cyclic", [4]), preset("dihedral4")]
     else:
         targets = [preset("cyclic", [p]), preset("heisenberg", [p])]
-    mask = np.ones(group.order, dtype=bool)
-    for tgt in targets:
-        for hom in enumerate_homs(group, tgt, surjective_only=True):
-            mask &= hom.kernel().mask
-    inter = Subgroup(group, tuple(int(x) for x in np.flatnonzero(mask)))
+    inter = _epimorphism_kernel_meet(group, targets, np.ones(group.order, dtype=bool))
     equal = inter.same_as(low)
     if grt.passes and not equal:
         raise AssertionError(
@@ -1398,6 +1373,15 @@ def lower3_intersection_check(group: FiniteGroup, p: int) -> Lower3Report:
 
 # --------------------------------------------------------------------------
 # decomposable transgressions
+
+
+def _order_q_lines(group: FiniteGroup, q: int) -> list[Subgroup]:
+    """The distinct cyclic subgroups of order q, in the order of their least element of order q."""
+    lines: dict[tuple[int, ...], Subgroup] = {}
+    for x in np.flatnonzero(element_orders(group) == q):
+        line = subgroup_closure(group, [int(x)])
+        lines.setdefault(line.members, line)
+    return list(lines.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -1432,17 +1416,10 @@ def decomposable_transgression_conditions(
     tg = transgression(group, top, psi, q, frame.data)
     decomposable = h2_dec(frame.space).contains(tg)
 
-    Q = frame.quotient
-    orders = element_orders(Q)
-    seen_lines: set[tuple[int, ...]] = set()
     cyclic_local = True
     extends_on_lines = True
     t_members = np.array(top.members, dtype=np.int64)
-    for x in np.flatnonzero(orders == q):
-        line = subgroup_closure(Q, [int(x)])
-        if line.members in seen_lines:
-            continue
-        seen_lines.add(line.members)
+    for line in _order_q_lines(frame.quotient, q):
         m_members = np.flatnonzero(line.mask[frame.data.projection.images])
         m_sub = Subgroup(group, tuple(int(y) for y in m_members))
         mgrp = subgroup_as_group(m_sub)
@@ -1494,17 +1471,8 @@ def local_global_check(d: int, q: int) -> LocalGlobalReport:
     Q = preset("elementary_abelian", [q, d])
     space = h2(Q, q)
     dec_set = h2_dec(space).coordinate_members()
-    orders = element_orders(Q)
-    lines = []
-    seen: set[tuple[int, ...]] = set()
-    for x in np.flatnonzero(orders == q):
-        line = subgroup_closure(Q, [int(x)])
-        if line.members in seen:
-            continue
-        seen.add(line.members)
-        lines.append(line)
     maps = []
-    for line in lines:
+    for line in _order_q_lines(Q, q):
         sgrp = subgroup_as_group(line)
         sspace = h2(sgrp, q)
         rows = np.array(
@@ -1716,13 +1684,3 @@ def reconstruct_quotient(
     ann = subgroup_closure(model_group, [int(model.projection(s)) for s in seeds])
     data = quotient(model_group, ann)
     return Reconstruction(triple.kind, model_group, ann, data)
-
-
-# --------------------------------------------------------------------------
-# surjectivity of α in top degree
-
-
-def alpha_surjective(group: FiniteGroup, q: int, triple: DualityTriple) -> bool:
-    """Whether the α-values span all of H²(G)."""
-    space = h2(group, q)
-    return triple.alpha_image(space).order == space.order

@@ -54,7 +54,6 @@ __all__ = [
     "HOM_TARGET_LIMIT",
     "ISO_LIMIT",
     "NORMAL_ENUM_LIMIT",
-    "FibredProduct",
     "FiniteGroup",
     "GroupHom",
     "PcPresentation",
@@ -67,7 +66,6 @@ __all__ = [
     "element_orders",
     "enumerate_homs",
     "exponent",
-    "fibred_product",
     "is_abelian",
     "is_isomorphic",
     "normal_subgroups_within",
@@ -813,6 +811,8 @@ def _extend_gen_images(
     assignment: Sequence[int],
     target: FiniteGroup,
 ) -> np.ndarray:
+    """The map with generator images ``assignment``, extended along the (element,
+    parent, position) rows of ``tree``; multiplicativity is not checked."""
     images = np.full(source.order, -1, dtype=np.int64)
     images[source.identity] = target.identity
     tt = target.table
@@ -821,12 +821,36 @@ def _extend_gen_images(
     return images
 
 
+def _hom_images(
+    source: FiniteGroup,
+    target: FiniteGroup,
+    candidates: Sequence[Sequence[int]],
+    surjective: bool = False,
+) -> Iterator[np.ndarray]:
+    """Image arrays of the homomorphisms source → target whose generator
+    images are drawn from ``candidates``, one list per source generator.
+
+    The one search over generator images.  Tuples are tried in
+    ``itertools.product`` order; each is extended along the BFS tree over
+    ``source.generators`` and yielded when it is multiplicative.  With
+    ``surjective``, a map that is not onto is dropped first, before the
+    multiplicativity check.
+    """
+    tree = _generator_tree(source, source.generators).T.tolist()
+    for assignment in itertools.product(*candidates):
+        images = _extend_gen_images(source, tree, assignment, target)
+        if surjective and np.unique(images).size != target.order:
+            continue
+        if _is_multiplicative(source, target, images):
+            yield images
+
+
 def enumerate_homs(
     source: FiniteGroup,
     target: FiniteGroup,
     surjective_only: bool = False,
 ) -> tuple[GroupHom, ...]:
-    """All homomorphisms source → target, by backtracking over generator images.
+    """All homomorphisms source → target, by a search over generator images.
 
     Complete: a homomorphism is determined by its generator images, and every
     image tuple whose breadth-first extension passes the multiplicativity
@@ -837,29 +861,16 @@ def enumerate_homs(
         raise ValueError(f"homomorphism target capped at {HOM_TARGET_LIMIT} elements")
     if source.order > DEFAULT_MAX_ORDER:
         raise ValueError("source exceeds the order cap")
-    gens = list(source.generators)
-    if not gens:
-        only = GroupHom(source, target, np.full(1, target.identity, dtype=np.int64))
-        return (only,) if (not surjective_only or target.order == 1) else ()
     src_orders = element_orders(source)
     tgt_orders = element_orders(target)
-    candidates = [
-        [int(b) for b in np.flatnonzero(src_orders[g] % tgt_orders == 0)] for g in gens
-    ]
-    tree = _generator_tree(source, gens).T.tolist()
-    out = []
-    for assignment in itertools.product(*candidates):
-        images = _extend_gen_images(source, tree, assignment, target)
-        if not _is_multiplicative(source, target, images):
-            continue
-        if surjective_only and np.unique(images).size != target.order:
-            continue
-        out.append(GroupHom(source, target, images))
-    return tuple(out)
+    candidates = [np.flatnonzero(src_orders[g] % tgt_orders == 0).tolist() for g in source.generators]
+    found = _hom_images(source, target, candidates, surjective=surjective_only)
+    return tuple(GroupHom(source, target, images) for images in found)
 
 
 def is_isomorphic(left: FiniteGroup, right: FiniteGroup) -> bool:
-    """Isomorphism test: invariant pre-screen, then generator-image backtracking."""
+    """Isomorphism test: invariant pre-screen, then a search for a bijective
+    homomorphism with generator images of matching orders."""
     if max(left.order, right.order) > ISO_LIMIT:
         raise ValueError(f"isomorphism test capped at {ISO_LIMIT} elements")
     if left.order != right.order:
@@ -878,20 +889,10 @@ def is_isomorphic(left: FiniteGroup, right: FiniteGroup) -> bool:
     if order_profile(ab_left.quotient) != order_profile(ab_right.quotient):
         return False
 
-    gens = list(left.generators)
-    tree = _generator_tree(left, gens).T.tolist()
     src_orders = element_orders(left)
     tgt_orders = element_orders(right)
-    candidates = [
-        [int(b) for b in np.flatnonzero(tgt_orders == src_orders[g])] for g in gens
-    ]
-    for assignment in itertools.product(*candidates):
-        images = _extend_gen_images(left, tree, assignment, right)
-        if np.unique(images).size != right.order:
-            continue
-        if _is_multiplicative(left, right, images):
-            return True
-    return False
+    candidates = [np.flatnonzero(tgt_orders == src_orders[g]).tolist() for g in left.generators]
+    return next(_hom_images(left, right, candidates, surjective=True), None) is not None
 
 
 def normal_subgroups_within(group: FiniteGroup, sub: Subgroup) -> tuple[Subgroup, ...]:
@@ -931,34 +932,6 @@ def direct_product(left: FiniteGroup, right: FiniteGroup, name: Optional[str] = 
     gen_names += [f"b{i}" for i in range(len(right.generators))]
     label = name or f"{left.name}x{right.name}"
     return FiniteGroup.from_table(table, generators=gens, gen_names=gen_names, name=label)
-
-
-@dataclass(frozen=True, eq=False)
-class FibredProduct:
-    """The pullback {(b, p) : f(b) = g(p)} with its two projections."""
-
-    group: FiniteGroup
-    left: GroupHom
-    right: GroupHom
-
-
-def fibred_product(f: GroupHom, g: GroupHom) -> FibredProduct:
-    if f.target is not g.target:
-        raise ValueError("fibred product needs a common target")
-    nb, np_ = f.source.order, g.source.order
-    match = f.images[:, None] == g.images[None, :]
-    bidx, pidx = np.nonzero(match)
-    n = bidx.size
-    if n > DEFAULT_MAX_ORDER:
-        raise ValueError("fibred product exceeds the order cap")
-    pair_to_index = np.full(nb * np_, -1, dtype=np.int64)
-    pair_to_index[bidx * np_ + pidx] = np.arange(n)
-    tb, tp = f.source.table, g.source.table
-    table = pair_to_index[tb[np.ix_(bidx, bidx)] * np_ + tp[np.ix_(pidx, pidx)]]
-    grp = FiniteGroup.from_table(table, name=f"{f.source.name}x_Q{g.source.name}")
-    left = GroupHom(grp, f.source, bidx)
-    right = GroupHom(grp, g.source, pidx)
-    return FibredProduct(grp, left, right)
 
 
 # ---------------------------------------------------------------------------

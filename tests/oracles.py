@@ -11,7 +11,17 @@ import itertools
 
 import numpy as np
 
-from qcoh.cohomology import Cochain1, Cochain2, _coboundary_rows, _solver_gens, _solver_tree, bockstein, cup11, is_coboundary
+from qcoh.cohomology import (
+    Cochain1,
+    Cochain2,
+    _coboundary_rows,
+    _solver_gens,
+    _solver_tree,
+    bockstein,
+    class_from_extension,
+    cup11,
+    is_coboundary,
+)
 from qcoh.freemodel import free_level3
 from qcoh.groups import _BLOCK_CELLS, FiniteGroup, GroupHom, preset, q_central_series, quotient
 from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains
@@ -115,6 +125,39 @@ def is_multiplicative_all_pairs(source, target, images) -> bool:
     lhs = images[source.table]
     rhs = target.table[images[:, None], images[None, :]]
     return bool(np.array_equal(lhs, rhs))
+
+
+def lift_kernel_mask_all_pairs(group, data, ext):
+    """⋂ Ker(Ψ) over every lift Ψ: G → E of the projection G → G/T, or None.
+
+    The reference route: each generator may go to any element of E over its
+    image in G/T; every such assignment is extended along breadth-first
+    words, kept when it is multiplicative on all n² pairs, and its kernel
+    ANDed in.  None when no assignment is a homomorphism.
+    """
+    gens = [int(g) for g in group.generators]
+    pi = np.asarray(data.projection.images)
+    fibers = [np.flatnonzero(ext.projection.images == pi[g]).tolist() for g in gens]
+    order = [int(group.identity)]
+    parent: dict[int, tuple[int, int]] = {int(group.identity): (-1, -1)}
+    for x in order:
+        for pos, g in enumerate(gens):
+            y = int(group.table[x, g])
+            if y not in parent:
+                parent[y] = (x, pos)
+                order.append(y)
+    acc = None
+    for assignment in itertools.product(*fibers):
+        images = np.zeros(group.order, dtype=np.int64)
+        images[group.identity] = ext.total.identity
+        for y in order[1:]:
+            x, pos = parent[y]
+            images[y] = ext.total.table[images[x], assignment[pos]]
+        if not is_multiplicative_all_pairs(group, ext.total, images):
+            continue
+        mask = images == ext.total.identity
+        acc = mask if acc is None else acc & mask
+    return acc
 
 
 def is_normal_all_conjugates(sub) -> bool:
@@ -297,6 +340,11 @@ def brute_h2_order_tiny(table, identity: int, q: int) -> int:
 
 # ---------------------------------------------------------------------------
 # cohomological oracles
+
+
+def class_of_spec(spec) -> Cochain2:
+    """The factor-set class of a central extension, read back from its spec."""
+    return class_from_extension(spec.total, spec.embed, spec.projection, spec.modulus, spec.section)
 
 
 def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:

@@ -21,7 +21,6 @@ from qcoh.groups import (
     element_orders,
     enumerate_homs,
     exponent,
-    fibred_product,
     is_abelian,
     is_isomorphic,
     normal_subgroups_within,
@@ -332,6 +331,36 @@ def test_hom_count_matches_exhaustive(src, tgt):
     assert len(enumerate_homs(g, b, surjective_only=True)) == expected_epi
 
 
+ORDER8 = [
+    ("cyclic", [8]),
+    ("direct_product", [("cyclic", [4]), ("cyclic", [2])]),
+    ("elementary_abelian", [2, 3]),
+    ("dihedral4", []),
+    ("quaternion8", []),
+]
+ORDER27 = [("heisenberg", [3]), ("modular", [3])]
+
+
+def _spec_id(spec):
+    return repr(spec).replace(" ", "")
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    list(itertools.product(ORDER8, ORDER8)) + list(itertools.product(ORDER27, ORDER27)),
+    ids=_spec_id,
+)
+def test_is_isomorphic_matches_exhaustive(left, right):
+    """``is_isomorphic`` agrees with an exhaustive count of epimorphisms between
+    groups of equal order; raises explicitly, so it also checks under ``python -O``."""
+    g, b = preset(*left), preset(*right)
+    expected = oracles.brute_hom_count(
+        g.table, g.identity, list(g.generators), b.table, b.identity, surjective_only=True
+    ) > 0
+    if is_isomorphic(g, b) != expected:
+        raise AssertionError(f"is_isomorphic({g.name}, {b.name}) disagrees with the exhaustive search")
+
+
 def test_every_enumerated_hom_is_multiplicative(d4):
     for hom in enumerate_homs(d4, preset("cyclic", [2])):
         for x in d4.elements():
@@ -637,38 +666,6 @@ def test_normal_subgroups_in_r_of_d4(d4):
     h = subgroup_closure(d4, [r])
     subs = normal_subgroups_within(d4, h)
     assert sorted(s.order for s in subs) == [1, 2, 4]
-
-
-# ---------------------------------------------------------------------------
-# fibred products
-
-
-def test_fibred_product_diagonal(d4):
-    ident = GroupHom(d4, d4, np.arange(d4.order))
-    fp = fibred_product(ident, ident)
-    assert fp.group.order == 8
-    assert is_isomorphic(fp.group, d4)
-    for x in fp.group.elements():
-        assert fp.left(x) == fp.right(x)
-
-
-def test_fibred_product_z4_z2():
-    z4, z2 = preset("cyclic", [4]), preset("cyclic", [2])
-    f = GroupHom(z4, z2, np.arange(4) % 2)
-    g = GroupHom(z2, z2, np.arange(2))
-    fp = fibred_product(f, g)
-    assert fp.group.order == 4
-    assert fp.left.is_surjective() and fp.right.is_surjective()
-
-
-def test_fibred_product_heisenberg(h27):
-    base = preset("elementary_abelian", [3, 2])
-    epi = enumerate_homs(h27, base, surjective_only=True)[0]
-    cube = preset("elementary_abelian", [3, 3])
-    g = enumerate_homs(cube, base, surjective_only=True)[0]
-    fp = fibred_product(epi, g)
-    assert fp.group.order == 3**4
-    assert fp.left.is_surjective() and fp.right.is_surjective()
 
 
 # ---------------------------------------------------------------------------
