@@ -44,7 +44,6 @@ from qcoh.duality import (
     floor_by_intersection,
     galois_relation_type,
     inflation_isomorphism_table,
-    is_dual,
     kernel_generating_pairs,
     level2_frame,
     local_global_check,
@@ -63,7 +62,6 @@ from qcoh.zqlin import (
     HowellForm,
     PairingReport,
     ZqMatrix,
-    ZqScalar,
     factor_prime_power,
     howell_form,
     kernel,
@@ -83,7 +81,6 @@ __all__ = [
     "HowellForm",
     "PairingReport",
     "ZqMatrix",
-    "ZqScalar",
     "bockstein",
     "canonical_basis",
     "class_from_extension",
@@ -106,7 +103,6 @@ __all__ = [
     "inflation_isomorphism_table",
     "invariants_h1",
     "is_coboundary",
-    "is_dual",
     "is_isomorphic",
     "kernel",
     "kernel_generating_pairs",

@@ -30,6 +30,7 @@ from .duality import (
     substitution_pairing,
     triple_of,
     TRIPLE_KINDS,
+    Lower3Report,
     NotFreeLevel2,
     _identify_small,
 )
@@ -123,8 +124,11 @@ def _resolve_q(args: argparse.Namespace) -> int:
     return q
 
 
-def _echo(args: argparse.Namespace, argv: Sequence[str]) -> tuple[str, ...]:
-    return tuple(argv)
+def _theorem_d_status(rep: Lower3Report) -> str:
+    """PASS if the intersection is the lower-3 subgroup; a mismatch is a FAIL only under the relation type."""
+    if rep.equal:
+        return PASS
+    return FAIL if rep.relation_type.passes else HYPOTHESIS_NOT_MET
 
 
 def _timed(record_adder, name: str, fn: Callable[[], tuple[str, str, Optional[dict]]]):
@@ -144,7 +148,7 @@ def _timed(record_adder, name: str, fn: Callable[[], tuple[str, str, Optional[di
 def cmd_series(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     series = q_central_series(group, q, depth=args.depth)
     orders = [t.order for t in series.terms[: series.stabilized_at]]
     report.add(
@@ -178,7 +182,7 @@ def cmd_series(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     degrees = (1, 2) if args.deg == "both" else (int(args.deg),)
     if 1 in degrees:
         h1s = h1(group, q)
@@ -234,7 +238,7 @@ def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 def cmd_pairing(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     top = q_central_series(group, q).term(2)
     floor = triple_of(args.triple).floor(group, q) if args.triple else None
     sp = substitution_pairing(group, q, top, floor)
@@ -258,7 +262,7 @@ def cmd_pairing(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     tri = triple_of(args.triple or "dec-cup")
     top = tri.top(group, q)
     floor = tri.floor(group, q)
@@ -300,7 +304,7 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
             raise ValueError(f"--p must be a prime, got {args.p}")
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = Report(_echo(args, argv), q=args.p)
+    report = Report(tuple(argv), q=args.p)
     try:
         rep = lower3_intersection_check(group, args.p)
     except ValueError as exc:
@@ -319,15 +323,9 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
             "kernel_cup_generated": grt.kernel_cup_generated,
         },
     )
-    if rep.equal:
-        status = PASS
-    elif grt.passes:
-        status = FAIL  # the internal assertion would have raised already
-    else:
-        status = HYPOTHESIS_NOT_MET
     report.add(
         "intersection-equals-refined3",
-        status,
+        _theorem_d_status(rep),
         f"refined level-3 order {rep.lower3.order}, intersection order "
         f"{rep.intersection.order}, equal: {rep.equal}",
         machine={
@@ -342,7 +340,7 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 def cmd_reconstruct(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     tri = triple_of(args.triple or "dec-cup")
     try:
         frame = level2_frame(group, q)
@@ -377,7 +375,7 @@ def cmd_free_model(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     if args.d is None or args.q is None:
         raise UsageError("free-model needs --d and --q")
     q = _resolve_q(args)
-    report = Report(_echo(args, argv), q=q)
+    report = Report(tuple(argv), q=q)
     model = free_level3(args.d, q, args.variant)
     report.add(
         "model",
@@ -526,15 +524,9 @@ def _suite_theorem_d(report: Report) -> None:
     ]
     for label, group, p in cases:
         rep = lower3_intersection_check(group, p)
-        if rep.equal:
-            status = PASS
-        elif rep.relation_type.passes:
-            status = FAIL
-        else:
-            status = HYPOTHESIS_NOT_MET
         report.add(
             f"theorem-d-{label}",
-            status,
+            _theorem_d_status(rep),
             f"equal: {rep.equal}, relation type passes: {rep.relation_type.passes}",
         )
 
@@ -585,7 +577,7 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     suite = args.suite
     if suite not in _SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {sorted(_SUITES)}")
-    report = Report(_echo(args, argv), q=None)
+    report = Report(tuple(argv), q=None)
     for fn in _SUITES[suite]:
         start = time.perf_counter()
         before = len(report.records)

@@ -1036,11 +1036,6 @@ class SymbolicElementaryH2:
             out[self.d + t] = a[i] * b[j] - a[j] * b[i]
         return out % self.q
 
-    def bockstein_coords(self, a: Sequence[int]) -> np.ndarray:
-        out = np.zeros(self.rank, dtype=np.int64)
-        out[: self.d] = np.asarray(a, dtype=np.int64)
-        return out % self.q
-
     def dec_rows(self) -> np.ndarray:
         """Spanning rows of the decomposable part in symbolic coordinates."""
         rows = [self.cup_coords(np.eye(self.d, dtype=np.int64)[i], np.eye(self.d, dtype=np.int64)[j])
@@ -1281,7 +1276,7 @@ def _span_equal(rows_a: np.ndarray, rows_b: np.ndarray, q: int, width: int) -> b
 
 
 def five_term_check(
-    group: FiniteGroup, sub: Subgroup, q: int, cap: int = H2_CAP, require_level2: bool = True
+    group: FiniteGroup, sub: Subgroup, q: int, require_level2: bool = True
 ) -> FiveTermReport:
     """Exactness of 0 → H¹(G/T) → H¹(G) → H¹(T)^G → H²(G/T) → H²(G).
 
@@ -1294,8 +1289,7 @@ def five_term_check(
             raise ValueError("five-term check needs T inside the level-2 term")
     data = quotient(group, sub)
     quot = data.quotient
-    if quot.order > cap:
-        raise ValueError("quotient exceeds the H² cap")
+    h2_quot = h2(quot, q)
     h1_quot = h1(quot, q)
     h1_big = h1(group, q)
     inv = invariants_h1(group, sub, q)
@@ -1325,7 +1319,6 @@ def five_term_check(
     nodes.append(("kernel-res-equals-image-inf", ok2, f"ker rank rows {ker_rows.shape[0]}"))
 
     # node 3: ker(trg: H¹(T)^G → H²(G/T)) = img(res)
-    h2_quot = h2(quot, q)
     trg_list = [
         transgression(group, sub, psi, q, data=data, require_level2=require_level2)
         for psi in inv.basis

@@ -35,7 +35,6 @@ from .cohomology import (
     h1,
     h2,
     h2_dec,
-    img_bockstein,
     invariants_h1,
     is_coboundary,
     restriction2,
@@ -146,10 +145,6 @@ class DualityTriple:
 
     def alpha_image(self, space: H2Space) -> H2Subspace:
         """The submodule A(Q) of H²(Q) spanned by the α-values."""
-        if self.kind == "dec-cup":
-            return h2_dec(space)
-        if self.kind == "bock":
-            return img_bockstein(space)
         return span_of_classes(space, list(self.alpha_generator_classes(space.group, space.modulus)))
 
     def alpha_generator_classes(self, group: FiniteGroup, q: int) -> tuple[Cochain2, ...]:
@@ -774,22 +769,22 @@ def _intersection_class_reps(
 def _lift_kernel_mask(
     group: FiniteGroup, data: QuotientData, ext: CentralExtensionSpec
 ) -> np.ndarray:
-    """Intersection of Ker(Ψ) over all lifts Ψ: G → E above the projection."""
+    """Ker(Ψ) for the first lift Ψ: G → E above the projection G → G/T.
+
+    Two lifts differ by a homomorphism G → Z/q, which vanishes on T ⊇ Ker(Ψ),
+    so every lift has the same kernel.
+    """
     gens = group.generators
     if ext.modulus ** len(gens) > SEARCH_CAP:
         raise ValueError("lift enumeration too large")
     pi = data.projection.images
     m = ext.base.order
     fibers = [[a * m + int(pi[g]) for a in range(ext.modulus)] for g in gens]
-    acc: Optional[np.ndarray] = None
     for images in _hom_images(group, ext.total, fibers):
         if not np.array_equal(ext.projection.images[images], pi):
             raise AssertionError("a lift does not cover the projection")
-        mask = images == ext.total.identity
-        acc = mask if acc is None else (acc & mask)
-    if acc is None:
-        raise AssertionError("no lift exists for a transgressed class")
-    return acc
+        return images == ext.total.identity
+    raise AssertionError("no lift exists for a transgressed class")
 
 
 def duality_conditions(
@@ -920,17 +915,6 @@ def duality_conditions(
     )
 
 
-def is_dual(
-    group: FiniteGroup,
-    q: int,
-    top: Subgroup,
-    floor: Subgroup,
-    alpha: Union[H2Subspace, Callable[[H2Space], H2Subspace]],
-) -> bool:
-    """Whether A is dual to (T, T₀): the common verdict of the six conditions."""
-    return duality_conditions(group, q, top, floor, alpha).verdict
-
-
 # --------------------------------------------------------------------------
 # tensor-power functors
 
@@ -990,12 +974,11 @@ def inflation_isomorphism_table(
     group: FiniteGroup,
     q: int,
     triple: DualityTriple,
-    degrees: Sequence[int] = (1, 2, 3),
 ) -> InflationIsoTable:
     """For every normal N ≤ T: does inflation identify A(G/N) with A(G)?
 
     Asserts N ≤ T₀ ⇔ A-inflation iso, and that the iso forces every
-    tensor-power functor to inflate isomorphically as well.
+    tensor-power functor of degree at most 3 to inflate isomorphically as well.
     """
     top = triple.top(group, q)
     floor = triple.floor(group, q)
@@ -1012,7 +995,7 @@ def inflation_isomorphism_table(
         tensor_iso: dict = {}
         m = len(h1n.invariant_factors)
         for t in triple.active_degrees:
-            rs = [r for r in degrees if r >= t]
+            rs = range(t, 4)
             pred_down = _alpha_zero_predicate(triple, t, h1n.basis, qd.quotient, q)
             pred_up = _alpha_zero_predicate(triple, t, h1n.basis, group, q, images=qd.projection.images)
             kills_down = tensor_kill_rows(h1n.invariant_factors, q, rs, t, pred_down)
@@ -1057,14 +1040,12 @@ def projection_conditions(
     pi: GroupHom,
     q: int,
     triple: DualityTriple,
-    strict: bool = True,
 ) -> ProjectionReport:
     """Equivalent conditions on an epimorphism that respects the level-2 split.
 
     (i) the induced map on the T₀-quotients is an isomorphism, (ii) the
     kernel sits inside T₀, (iii)/(iv) the pullback on coefficient submodules
-    is an isomorphism / a monomorphism.  With ``strict`` the four verdicts
-    are asserted equal.
+    is an isomorphism / a monomorphism.  The four verdicts are asserted equal.
     """
     if not pi.is_surjective():
         raise ValueError("projection conditions need an epimorphism")
@@ -1085,7 +1066,7 @@ def projection_conditions(
         g1, q, pi.images, triple.alpha_generator_classes(g2, q), triple.alpha_generator_classes(g1, q)
     )
     report = ProjectionReport(quotient_iso, kernel_in_floor, mono and surj, mono)
-    if strict and not report.all_equal:
+    if not report.all_equal:
         raise AssertionError(
             f"projection conditions disagree: {report}"
         )
@@ -1400,7 +1381,6 @@ def decomposable_transgression_conditions(
     group: FiniteGroup,
     q: int,
     psi: Cochain1,
-    strict: bool = True,
 ) -> TransgressionDecomposableReport:
     """Four equivalent tests for trg(ψ) landing in the decomposable part.
 
@@ -1444,7 +1424,7 @@ def decomposable_transgression_conditions(
     report = TransgressionDecomposableReport(
         decomposable, cyclic_local, extends_on_lines, kills_lower3
     )
-    if strict and not report.all_equal:
+    if not report.all_equal:
         raise AssertionError(f"decomposable-transgression conditions disagree: {report}")
     return report
 

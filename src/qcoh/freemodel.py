@@ -26,14 +26,13 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from qcoh.groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
-    QuotientData,
     power_subgroup,
     q_central_series,
     quotient,
@@ -79,7 +78,6 @@ class FreeLevel3Model:
     power_labels: tuple[str, ...]
     commutator_labels: tuple[str, ...]
     coords: np.ndarray
-    quotient_data: Optional[QuotientData] = None
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -242,7 +240,6 @@ def _build_flat(d: int, q: int) -> FreeLevel3Model:
         power_labels=tuple(f"s{i + 1}^{q}" for i in range(d)),
         commutator_labels=tuple(f"[s{i + 1},s{j + 1}]" for i, j in sharp.pairs),
         coords=coords,
-        quotient_data=data,
     )
     _check_model_series(model)
     return model

@@ -30,7 +30,6 @@ __all__ = [
     "PairingReport",
     "SmithDecomposition",
     "ZqMatrix",
-    "ZqScalar",
     "coset_reduce",
     "factor_prime_power",
     "howell_form",
@@ -80,66 +79,6 @@ def _unit_scale_to_pivot(a: int, v: int, p: int, q: int) -> int:
     cofactor = q // pv
     w = pow((a // pv) % cofactor, -1, cofactor) if cofactor > 1 else 1
     return w % q
-
-
-@dataclass(frozen=True)
-class ZqScalar:
-    """A residue in Z/q with its modulus attached; q = p**s enforced."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        factor_prime_power(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % int(self.modulus))
-        object.__setattr__(self, "modulus", int(self.modulus))
-
-    @property
-    def p(self) -> int:
-        return factor_prime_power(self.modulus)[0]
-
-    @property
-    def s(self) -> int:
-        return factor_prime_power(self.modulus)[1]
-
-    @property
-    def valuation(self) -> int:
-        return _valuation(self.value, *factor_prime_power(self.modulus))
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def _coerce(self, other: "ZqScalar | int") -> int:
-        if isinstance(other, ZqScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli in scalar arithmetic")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other: "ZqScalar | int") -> "ZqScalar":
-        return ZqScalar(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ZqScalar | int") -> "ZqScalar":
-        return ZqScalar(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other: "ZqScalar | int") -> "ZqScalar":
-        return ZqScalar(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ZqScalar":
-        return ZqScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "ZqScalar":
-        if not self.is_unit:
-            raise ValueError(f"{self.value} is not a unit mod {self.modulus}")
-        return ZqScalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -222,9 +161,6 @@ class ZqMatrix:
             raise ValueError(f"expected vector of length {self.cols}, got shape {v.shape}")
         return (self.entries @ v) % self.modulus
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i].copy()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ZqMatrix)
@@ -235,12 +171,6 @@ class ZqMatrix:
 
     def __repr__(self) -> str:
         return f"ZqMatrix({self.entries.tolist()!r}, mod {self.modulus})"
-
-
-def vstack(top: ZqMatrix, bottom: ZqMatrix) -> ZqMatrix:
-    if top.modulus != bottom.modulus or top.cols != bottom.cols:
-        raise ValueError("vstack shape/modulus mismatch")
-    return ZqMatrix(np.vstack([top.entries, bottom.entries]), top.modulus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,9 +492,6 @@ class AbGroupPresentation:
             raise ValueError(f"expected vector of length {self.ngens}, got shape {v.shape}")
         raw = (v @ self._coordinate_map.entries) % self.modulus
         return tuple(int(c) % f for c, f in zip(raw, self.invariant_factors))
-
-    def is_zero_element(self, vec: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.coordinates(vec))
 
 
 @dataclass(frozen=True, eq=False)

@@ -282,7 +282,7 @@ def brute_h2_invariant_factors(table, identity: int, q: int) -> tuple[int, ...]:
 
     _, zmat, bmat = brute_h2_spans(table, identity, q)
     k = zmat.rows
-    stacked = zqlin.vstack(zmat, bmat)
+    stacked = zqlin.ZqMatrix(np.vstack([zmat.entries, bmat.entries]), q)
     combos = zqlin.kernel(stacked.T)
     relations = combos.entries[:, :k].reshape(-1, k)
     pres = zqlin.AbGroupPresentation.from_relations(k, q, relations)

@@ -6,6 +6,7 @@ the exit-code contract (0 pass / 1 fail / 2 usage / 3 hypothesis-not-met)
 and the determinism guarantee are checked exactly as a shell user sees them.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -452,3 +453,19 @@ def test_cli_verify_all_same_under_python_O():
     plain, optimized = docs
     assert optimized["machine"] == plain["machine"]
     assert optimized == plain
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_every_script_imports(path):
+    """Each script imports against the public API and has a callable ``main``; raises survive ``-O``."""
+    spec = importlib.util.spec_from_file_location(f"qcoh_script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not callable(getattr(module, "main", None)):
+        raise AssertionError(f"{path.name} has no callable main")

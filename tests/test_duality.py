@@ -45,7 +45,6 @@ from qcoh.duality import (
     galois_relation_type,
     inflation_isomorphism_table,
     inflation_kernel_symbolic,
-    is_dual,
     kernel_generating_pairs,
     level2_frame,
     local_global_check,
@@ -67,6 +66,7 @@ from qcoh.groups import (
     commutator_subgroup,
     is_isomorphic,
     normal_subgroups_within,
+    power_subgroup,
     preset,
     q_central_series,
     quotient,
@@ -373,11 +373,6 @@ def test_degenerate_trivial_top():
     assert top.order == 1
     rep = duality_conditions(g, 3, top, trivial_subgroup(g), h2_full)
     assert rep.as_tuple() == (True,) * 6
-
-
-def test_is_dual_shortcut(h27):
-    tri = triple_of("dec-cup")
-    assert is_dual(h27, 3, tri.top(h27, 3), tri.floor(h27, 3), tri.alpha_image)
 
 
 def test_explicit_a0_classes_route(h27):
@@ -751,14 +746,21 @@ def test_inflation_table_runs_consistently(label, args, q, kind):
 # epimorphism conditions
 
 
+def _sharp_to_flat(sharp):
+    """The projection sharp → flat: the quotient by the (δq)-th powers."""
+    g = sharp.group
+    return quotient(g, power_subgroup(g, whole_group(g), sharp.delta * sharp.q)).projection
+
+
 def test_projection_tower_positive(sharp23, flat23):
-    pi = flat23.quotient_data.projection
+    pi = _sharp_to_flat(sharp23)
+    assert pi.target.order == flat23.group.order
     rep = projection_conditions(pi, 3, triple_of("dec-cup"))
     assert rep.all_equal and rep.quotient_iso
 
 
-def test_projection_tower_negative(sharp23, flat23):
-    pi = flat23.quotient_data.projection
+def test_projection_tower_negative(sharp23):
+    pi = _sharp_to_flat(sharp23)
     rep = projection_conditions(pi, 3, triple_of("bock-cup"))
     assert rep.all_equal and not rep.quotient_iso
 
