@@ -18,8 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cohomology import h1, h2, h2_dec, hat_ring, img_bockstein
+from .cohomology import H2_CAP, h1, h2, h2_dec, hat_ring, img_bockstein
 from .duality import (
+    DualityTriple,
+    Reconstruction,
     dual_basis_check,
     duality_conditions,
     inflation_kernel_symbolic,
@@ -36,6 +38,7 @@ from .duality import (
 )
 from .freemodel import canonical_basis, free_level3, normal_form_roundtrip
 from .groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     is_isomorphic,
     order_profile,
@@ -149,7 +152,10 @@ def cmd_series(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
-    series = q_central_series(group, q, depth=args.depth)
+    try:
+        series = q_central_series(group, q, depth=args.depth)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     orders = [t.order for t in series.terms[: series.stabilized_at]]
     report.add(
         "series-terms",
@@ -337,17 +343,23 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     return report
 
 
+def _reconstruction(
+    group: FiniteGroup, q: int, tri: DualityTriple
+) -> tuple[np.ndarray, Reconstruction, FiniteGroup, bool]:
+    """G/T₀ rebuilt from the kernel data: (kernel rows, reconstruction, G/T₀, isomorphic)."""
+    rows = inflation_kernel_symbolic(group, q, tri)
+    rec = reconstruct_quotient(level2_frame(group, q).d, q, tri, rows)
+    target = quotient(group, tri.floor(group, q)).quotient
+    return rows, rec, target, is_isomorphic(rec.group, target)
+
+
 def cmd_reconstruct(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
     tri = triple_of(args.triple or "dec-cup")
     try:
-        frame = level2_frame(group, q)
-        rows = inflation_kernel_symbolic(group, q, tri)
-        rec = reconstruct_quotient(frame.d, q, tri, rows)
-        target = quotient(group, tri.floor(group, q)).quotient
-        ok = is_isomorphic(rec.group, target)
+        rows, rec, target, ok = _reconstruction(group, q, tri)
     except NotFreeLevel2 as exc:
         report.add("level2-frame", HYPOTHESIS_NOT_MET, str(exc))
         return report
@@ -376,7 +388,10 @@ def cmd_free_model(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         raise UsageError("free-model needs --d and --q")
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
-    model = free_level3(args.d, q, args.variant)
+    try:
+        model = free_level3(args.d, q, args.variant)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report.add(
         "model",
         PASS,
@@ -541,13 +556,8 @@ def _suite_reconstruction(report: Report) -> None:
         ("quaternion8", preset("quaternion8"), 2),
     ]
     for label, group, q in cases:
-        frame = level2_frame(group, q)
         for kind in TRIPLE_KINDS:
-            tri = triple_of(kind)
-            rows = inflation_kernel_symbolic(group, q, tri)
-            rec = reconstruct_quotient(frame.d, q, tri, rows)
-            target = quotient(group, tri.floor(group, q)).quotient
-            ok = is_isomorphic(rec.group, target)
+            ok = _reconstruction(group, q, triple_of(kind))[3]
             report.add(
                 f"reconstruct-{label}-{kind}",
                 PASS if ok else FAIL,
@@ -614,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=int, help="prime (theorem-d)")
     common.add_argument("--triple", choices=TRIPLE_KINDS, help="duality triple kind")
     common.add_argument("--format", choices=("md", "json"), default="md")
-    common.add_argument("--max-order", type=int, default=4096)
+    common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     common.add_argument("--emit", help="also write the report (or emitted table) here")
 
     sp = sub.add_parser("series", parents=[common], help="q-central series data")
@@ -623,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("cohomology", parents=[common], help="H¹/H² structure")
     cp.add_argument("--deg", choices=("1", "2", "both"), default="both")
-    cp.add_argument("--h2-cap", type=int, default=64)
+    cp.add_argument("--h2-cap", type=int, default=H2_CAP)
     cp.set_defaults(fn=cmd_cohomology)
 
     pp = sub.add_parser("pairing", parents=[common], help="substitution pairing")

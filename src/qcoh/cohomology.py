@@ -54,6 +54,7 @@ from qcoh.zqlin import (
     AbGroupPresentation,
     HowellForm,
     ZqMatrix,
+    coset_reduce,
     factor_prime_power,
     howell_form,
     kernel,
@@ -253,10 +254,6 @@ class Cochain2:
     def _compat(self, other: "Cochain2") -> None:
         if self.modulus != other.modulus or not _same_group(self.group, other.group):
             raise ValueError("cochains live on different carriers")
-
-
-def zero2(group: FiniteGroup, q: int) -> Cochain2:
-    return Cochain2(group, q, np.zeros((group.order, group.order), dtype=np.int64))
 
 
 def coboundary1(u: Cochain1) -> Cochain2:
@@ -814,7 +811,8 @@ class H2Space:
 
     Internally a cocycle is identified with its restriction to the pairs
     (x, s) over the solver generators ("v-vector"); that restriction is
-    injective on cocycles and spans are compared there.
+    injective on cocycles and spans are compared there.  ``express`` and
+    ``relations`` answer every class solve in that frame.
     """
 
     group: FiniteGroup
@@ -842,12 +840,19 @@ class H2Space:
         if not _same_group(c.group, self.group) or c.modulus != self.modulus:
             raise ValueError("cochain belongs to a different carrier")
         _require_cocycle2(c)
-        stack = np.concatenate([self._basis_v, self._cob_v], axis=0)
-        sol = solve(ZqMatrix(stack.T, self.modulus), self.v_vector(c))
+        sol = self.express(self.basis, c)
         if sol is None:
             raise AssertionError("cocycle not in the computed span (solver bug)")
-        m = len(self.basis)
-        return tuple(int(x) % f for x, f in zip(sol[:m], self.invariant_factors))
+        return tuple(int(x) % f for x, f in zip(sol, self.invariant_factors))
+
+    def express(self, classes: Sequence[Cochain2], c: Cochain2) -> Optional[np.ndarray]:
+        """Coefficients y with Σ yᵢ·classesᵢ ≡ c modulo B², or None."""
+        sol = solve(ZqMatrix(_stacked_v(self, classes, self._cob_v).T, self.modulus), self.v_vector(c))
+        return None if sol is None else sol[: len(classes)]
+
+    def relations(self, classes: Sequence[Cochain2]) -> np.ndarray:
+        """Rows y generating the combinations with Σ yᵢ·classesᵢ in B²."""
+        return _relations(self, classes, self._cob_v)
 
     def representative(self, coords: Sequence[int]) -> Cochain2:
         acc = np.zeros((self.group.order, self.group.order), dtype=np.int64)
@@ -966,6 +971,19 @@ class H2Subspace:
         _require_cocycle2(c)
         return row_span_contains(self._span, self.space.v_vector(c))
 
+    def relations(self, classes: Sequence[Cochain2]) -> np.ndarray:
+        """Rows y generating the combinations with Σ yᵢ·classesᵢ in this subspace."""
+        return _relations(self.space, classes, self._span.matrix.entries)
+
+    def within(self, other: "H2Subspace") -> bool:
+        """This span lies inside ``other``'s."""
+        return not coset_reduce(other._span, self._span.matrix.entries).any()
+
+    def same_span(self, other: "H2Subspace") -> bool:
+        """Equal spans: Howell forms are canonical, so the forms are identical."""
+        a, b = self._span.matrix.entries, other._span.matrix.entries
+        return a.shape == b.shape and bool(np.array_equal(a, b))
+
     def coordinate_members(self) -> frozenset[tuple[int, ...]]:
         """All class coordinates lying in this subspace (enumerates the span)."""
         out = set()
@@ -976,11 +994,22 @@ class H2Subspace:
         return frozenset(out)
 
 
+def _stacked_v(space: H2Space, classes: Sequence[Cochain2], rows: np.ndarray) -> np.ndarray:
+    """The v-vectors of ``classes`` stacked above ``rows``."""
+    v = np.array([space.v_vector(c) for c in classes], dtype=np.int64).reshape(len(classes), rows.shape[1])
+    return np.concatenate([v, rows], axis=0)
+
+
+def _relations(space: H2Space, classes: Sequence[Cochain2], rows: np.ndarray) -> np.ndarray:
+    """Rows y generating the combinations with Σ yᵢ·classesᵢ in the span of ``rows``."""
+    stacked = _stacked_v(space, classes, rows)
+    return kernel(ZqMatrix(stacked.T, space.modulus)).entries[:, : len(classes)]
+
+
 def span_of_classes(space: H2Space, cochains: Sequence[Cochain2]) -> H2Subspace:
-    rows = [space.v_vector(c) for c in cochains]
     for c in cochains:
         _require_cocycle2(c)
-    stacked = np.concatenate([np.array(rows, dtype=np.int64).reshape(len(rows), -1), space._cob_v], axis=0) if rows else space._cob_v
+    stacked = _stacked_v(space, cochains, space._cob_v)
     return H2Subspace(space, tuple(cochains), howell_form(ZqMatrix(stacked, space.modulus)))
 
 
@@ -1323,27 +1352,11 @@ def five_term_check(
         transgression(group, sub, psi, q, data=data, require_level2=require_level2)
         for psi in inv.basis
     ]
-    if inv.basis:
-        stacked = np.concatenate(
-            [
-                np.array([h2_quot.v_vector(t) for t in trg_list], dtype=np.int64),
-                h2_quot._cob_v,
-            ],
-            axis=0,
-        )
-        left = kernel(ZqMatrix(stacked.T, q)).entries
-        mu = left[:, : len(inv.basis)]
-        tvals_width = len(tgens)
-        inv_vals = np.array(
-            [psi.values[list(tgens)] for psi in inv.basis], dtype=np.int64
-        ).reshape(len(inv.basis), tvals_width)
-        ker_trg_rows = (mu @ inv_vals) % q
-    else:
-        ker_trg_rows = np.zeros((0, len(tgens)), dtype=np.int64)
-    res_rows = np.array(
-        [[chi.values[pe] for pe in tmem] for chi in h1_big.basis], dtype=np.int64
-    ).reshape(len(h1_big.basis), len(tgens))
-    ok3 = _span_equal(ker_trg_rows, res_rows, q, len(tgens))
+    inv_vals = np.array(
+        [psi.values[list(tgens)] for psi in inv.basis], dtype=np.int64
+    ).reshape(len(inv.basis), len(tgens))
+    ker_trg_rows = (h2_quot.relations(trg_list) @ inv_vals) % q
+    ok3 = _span_equal(ker_trg_rows, res_mat, q, len(tgens))
     nodes.append(("kernel-trg-equals-image-res", ok3, f"{len(trg_list)} transgressed homs"))
 
     # node 4: ker(inf: H²(G/T) → H²(G)) = img(trg)
@@ -1352,13 +1365,12 @@ def five_term_check(
         rep = h2_quot.representative(coords)
         if is_coboundary(inflation2(rep, data)) is not None:
             killed.add(coords)
-    image = set()
-    ranges = [range(f) for f in (q,) * len(trg_list)]
-    for mix in itertools.product(*ranges):
-        acc = zero2(quot, q)
-        for x, t in zip(mix, trg_list):
-            acc = acc + t.scale(x)
-        image.add(h2_quot.coordinates_of(acc))
+    # class coordinates are linear, so each mix's class is mix @ (the images' coordinates)
+    factors = np.array(h2_quot.invariant_factors, dtype=np.int64)
+    trg_coords = np.array([h2_quot.coordinates_of(t) for t in trg_list], dtype=np.int64)
+    mixes = np.array(list(itertools.product(range(q), repeat=len(trg_list))), dtype=np.int64)
+    mixed = (mixes @ trg_coords.reshape(len(trg_list), factors.size)) % factors
+    image = {tuple(row) for row in mixed.tolist()}
     ok4 = killed == image
     nodes.append(
         ("kernel-inf2-equals-image-trg", ok4, f"kernel size {len(killed)}, image size {len(image)}")

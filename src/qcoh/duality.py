@@ -29,6 +29,7 @@ from .cohomology import (
     H2Subspace,
     CentralExtensionSpec,
     InvariantH1,
+    SymbolicElementaryH2,
     bockstein,
     cup11,
     extension_from_class,
@@ -185,13 +186,6 @@ def _span_intersection(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.n
     return howell_form(_as_matrix(inter, width, q)).matrix.entries
 
 
-def _combine2(group: FiniteGroup, q: int, parts: Sequence[Cochain2], coeffs: Sequence[int]) -> Cochain2:
-    acc = np.zeros((group.order, group.order), dtype=np.int64)
-    for x, c in zip(coeffs, parts):
-        acc += int(x) * c.values
-    return Cochain2(group, q, acc)
-
-
 def _twist_stack(
     source: FiniteGroup, cochains: Sequence[Cochain2], images: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -279,13 +273,17 @@ def _nonzero_classes(
     space: H2Space, parts: Sequence[Cochain2], combos: np.ndarray
 ) -> tuple[Cochain2, ...]:
     """Canonical representatives of the distinct nonzero classes Σ row·parts, in row order."""
+    # class coordinates are linear: a row's are row @ (the parts' coordinates)
+    factors = np.array(space.invariant_factors, dtype=np.int64)
+    part_coords = np.array([space.coordinates_of(c) for c in parts], dtype=np.int64)
+    coords = (combos @ part_coords.reshape(len(parts), factors.size)) % factors
     seen: set[tuple[int, ...]] = set()
     out: list[Cochain2] = []
-    for row in combos:
-        coords = space.coordinates_of(_combine2(space.group, space.modulus, parts, row))
-        if any(coords) and coords not in seen:
-            seen.add(coords)
-            out.append(space.representative(coords))
+    for row in coords.tolist():
+        key = tuple(row)
+        if any(key) and key not in seen:
+            seen.add(key)
+            out.append(space.representative(key))
     return tuple(out)
 
 
@@ -316,16 +314,6 @@ def _presentation(ngens: int, q: int, rows: np.ndarray) -> AbGroupPresentation:
     return AbGroupPresentation.from_relations(ngens, q, _as_matrix(rows, ngens, q))
 
 
-def _subspace_equal(a: H2Subspace, b: H2Subspace) -> bool:
-    if row_span_size(a._span) != row_span_size(b._span):
-        return False
-    return all(row_span_contains(b._span, row) for row in a._span.matrix.entries)
-
-
-def _subspace_contains(big: H2Subspace, small: H2Subspace) -> bool:
-    return all(row_span_contains(big._span, row) for row in small._span.matrix.entries)
-
-
 # --------------------------------------------------------------------------
 # the level-2 quotient as a free Z/q-module
 
@@ -339,7 +327,7 @@ class Level2Frame:
     forming an independent generating set, ``chars`` the dual coordinate
     homomorphisms, and ``coords`` the full discrete-logarithm table (row per
     quotient element); ``symbolic`` is the matching free coordinate module on
-    Bockstein and cup slots.
+    Bockstein and cup slots, and ``symbolic_classes`` its slot classes on G/T.
     """
 
     group: FiniteGroup
@@ -348,8 +336,8 @@ class Level2Frame:
     basis: tuple[int, ...]
     chars: tuple[Cochain1, ...]
     coords: np.ndarray
-    symbolic: object
-    _symbolic_v: np.ndarray
+    symbolic: SymbolicElementaryH2
+    symbolic_classes: tuple[Cochain2, ...]
 
     @property
     def data(self) -> QuotientData:
@@ -381,11 +369,10 @@ class Level2Frame:
 
     def class_symbolic_coords(self, c: Cochain2) -> np.ndarray:
         """Coordinates of a class in the Bockstein/cup slot basis."""
-        stacked = np.concatenate([self._symbolic_v, self.space._cob_v], axis=0)
-        sol = solve(ZqMatrix(stacked.T, self.modulus), self.space.v_vector(c))
+        sol = self.space.express(self.symbolic_classes, c)
         if sol is None:
             raise AssertionError("class escaped the Bockstein/cup span")
-        return sol[: self.symbolic.rank] % self.modulus
+        return sol
 
 
 def _power_products(group: FiniteGroup, gens: Sequence[int], q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -451,19 +438,15 @@ def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     sym = symbolic_h2_elementary(d, q)
     gen_classes = [bockstein(chi) for chi in chars]
     gen_classes.extend(cup11(chars[i], chars[j]) for i, j in sym.pairs)
-    solver = _transgression_solver(group, top, q, data)
-    sym_v = np.array([solver.space.v_vector(c) for c in gen_classes], dtype=np.int64).reshape(
-        len(gen_classes), -1
-    )
     return Level2Frame(
         group=group,
         modulus=q,
-        solver=solver,
+        solver=_transgression_solver(group, top, q, data),
         basis=tuple(basis),
         chars=tuple(chars),
         coords=coords,
         symbolic=sym,
-        _symbolic_v=sym_v,
+        symbolic_classes=tuple(gen_classes),
     )
 
 
@@ -489,11 +472,9 @@ class TransgressionSolver:
     invariants: InvariantH1
     images: tuple[Cochain2, ...]
     space: H2Space
-    _image_v: np.ndarray
 
     def preimage(self, c: Cochain2) -> Optional[Cochain1]:
-        stacked = np.concatenate([self._image_v, self.space._cob_v], axis=0)
-        sol = solve(ZqMatrix(stacked.T, self.modulus), self.space.v_vector(c))
+        sol = self.space.express(self.images, c)
         if sol is None:
             return None
         coeffs = [
@@ -512,11 +493,7 @@ def _transgression_solver(
     inv = invariants_h1(group, top, q)
     space = h2(data.quotient, q)
     images = tuple(transgression(group, top, psi, q, data) for psi in inv.basis)
-    if images:
-        image_v = np.array([space.v_vector(c) for c in images], dtype=np.int64)
-    else:
-        image_v = np.zeros((0, space._cob_v.shape[1]), dtype=np.int64)
-    return TransgressionSolver(group, top, q, data, inv, images, space, image_v)
+    return TransgressionSolver(group, top, q, data, inv, images, space)
 
 
 # --------------------------------------------------------------------------
@@ -752,18 +729,10 @@ class DualityConditionsReport:
 
 
 def _intersection_class_reps(
-    space: H2Space, gens_a: Sequence[Cochain2], gens_b: Sequence[Cochain2], q: int
+    space: H2Space, gens_a: Sequence[Cochain2], gens_b: Sequence[Cochain2]
 ) -> tuple[Cochain2, ...]:
     """Canonical representatives generating span(gens_a) ∩ span(gens_b) mod coboundaries."""
-    ka, kb = len(gens_a), len(gens_b)
-    if ka == 0 or kb == 0:
-        return ()
-    rows_a = np.array([space.v_vector(c) for c in gens_a], dtype=np.int64)
-    rows_b = np.array([space.v_vector(c) for c in gens_b], dtype=np.int64)
-    cob = space._cob_v
-    stacked = np.concatenate([rows_a, cob, rows_b, cob], axis=0)
-    combos = kernel(ZqMatrix(stacked.T, q)).entries
-    return _nonzero_classes(space, gens_a, combos[:, :ka])
+    return _nonzero_classes(space, gens_a, span_of_classes(space, gens_b).relations(gens_a))
 
 
 def _lift_kernel_mask(
@@ -815,10 +784,8 @@ def duality_conditions(
     k_rows = K.coordinate_rows
 
     # (a) restriction kernel equals the transgression preimage of A
-    span_rows = sub._span.matrix.entries
     if kamb:
-        stacked = np.concatenate([solver._image_v, span_rows], axis=0)
-        pre_a = kernel(ZqMatrix(stacked.T, q)).entries[:, :kamb] % q
+        pre_a = sub.relations(solver.images)
         cond_a = _span_equal(
             np.concatenate([pre_a, rel_rows], axis=0),
             np.concatenate([k_rows.reshape(-1, kamb), rel_rows], axis=0),
@@ -833,13 +800,11 @@ def duality_conditions(
     ker_sub = span_of_classes(space, list(ker_classes))
 
     # (b) transgression maps the restriction kernel isomorphically onto that kernel
-    trg_k = [
-        _combine2(space.group, q, list(solver.images), row) for row in k_rows
-    ]
+    image_values = np.array([c.values for c in solver.images], dtype=np.int64)
+    trg_k = [Cochain2(space.group, q, np.tensordot(row, image_values, 1)) for row in k_rows]
     trg_sub = span_of_classes(space, trg_k)
     if kamb:
-        stacked = np.concatenate([solver._image_v, space._cob_v], axis=0)
-        ker_trg = kernel(ZqMatrix(stacked.T, q)).entries[:, :kamb] % q
+        ker_trg = space.relations(solver.images)
         meet = _span_intersection(
             np.concatenate([k_rows.reshape(-1, kamb), rel_rows], axis=0),
             np.concatenate([ker_trg, rel_rows], axis=0),
@@ -849,11 +814,7 @@ def duality_conditions(
         injective = all(row_span_contains(howell_form(_as_matrix(rel_rows, width, q)), r) for r in meet)
     else:
         injective = True
-    cond_b = (
-        injective
-        and all(sub.contains(c) for c in trg_k)
-        and _subspace_equal(trg_sub, ker_sub)
-    )
+    cond_b = injective and trg_sub.within(sub) and trg_sub.same_span(ker_sub)
 
     # (c) kernel toward G/T₀ sits in A and matches the inflation kernel
     if floor.is_trivial():
@@ -864,14 +825,14 @@ def duality_conditions(
         mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
     kp_classes = _inflation_kernel_classes(space, mid_hom.source, mid_hom.images, space.basis)
     kp_sub = span_of_classes(space, kp_classes)
-    cond_c = _subspace_contains(sub, kp_sub) and _subspace_equal(kp_sub, ker_sub)
+    cond_c = kp_sub.within(sub) and kp_sub.same_span(ker_sub)
 
     # (d) the transgression pairing on T/T₀ × Ker(inf|A) is perfect, on the kernel of (b)
     pairing = _pairing_on_classes(group, q, top, floor, solver, ker_classes)
     cond_d = pairing.perfect
 
     # (e) the annihilator of A ∩ img(trg) inside T is exactly T₀
-    inter = _intersection_class_reps(space, sub.gens, solver.images, q)
+    inter = _intersection_class_reps(space, sub.gens, solver.images)
     psis = []
     for c in inter:
         psi = solver.preimage(c)
@@ -1126,7 +1087,7 @@ def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
                 c = cup11(frame.char_of(a), frame.char_of(b))
                 if ker_sub.contains(c):
                     found.append(c)
-        kernel_cup_generated = _subspace_equal(span_of_classes(frame.space, found), ker_sub)
+        kernel_cup_generated = span_of_classes(frame.space, found).same_span(ker_sub)
     return GaloisRelationReport(free_level2, twist is not None, twist, kernel_cup_generated)
 
 

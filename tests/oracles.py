@@ -20,11 +20,15 @@ from qcoh.cohomology import (
     bockstein,
     class_from_extension,
     cup11,
+    h2,
+    inflation2,
+    invariants_h1,
     is_coboundary,
+    transgression,
 )
 from qcoh.freemodel import free_level3
 from qcoh.groups import _BLOCK_CELLS, FiniteGroup, GroupHom, preset, q_central_series, quotient
-from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains
+from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains, solve
 
 
 def all_vectors(q: int, n: int):
@@ -367,6 +371,83 @@ def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:
     stacked = np.concatenate([rows, cob], axis=0)
     combos = kernel(ZqMatrix(stacked.T, q)).entries
     return combos[:, :k] % q
+
+
+def zero2(group, q: int) -> Cochain2:
+    return Cochain2(group, q, np.zeros((group.order, group.order), dtype=np.int64))
+
+
+def _v_rows(space, classes) -> np.ndarray:
+    """The classes' values c(x, s) on the solver generators, one flattened row each."""
+    width = space._cob_v.shape[1]
+    return np.array([c.values[:, list(space.gens)].reshape(-1) for c in classes], dtype=np.int64).reshape(len(classes), width)
+
+
+def express_hand_stacked(space, classes, c):
+    """Coefficients y with Σ yᵢ·classesᵢ ≡ c mod B², by one solve on the stack [classes; B²], or None."""
+    stacked = np.concatenate([_v_rows(space, classes), space._cob_v], axis=0)
+    sol = solve(ZqMatrix(stacked.T, space.modulus), _v_rows(space, [c])[0])
+    return None if sol is None else sol[: len(classes)]
+
+
+def relations_hand_stacked(space, classes, rows) -> np.ndarray:
+    """Rows y with Σ yᵢ·classesᵢ in the span of ``rows``, by one kernel of the stack [classes; rows]."""
+    stacked = np.concatenate([_v_rows(space, classes), rows], axis=0)
+    return kernel(ZqMatrix(stacked.T, space.modulus)).entries[:, : len(classes)] % space.modulus
+
+
+def nonzero_classes_per_row(space, parts, combos) -> tuple:
+    """Canonical representatives of the distinct nonzero classes Σ row·parts, in row order.
+
+    The reference route: build each row's combination as a cochain and solve
+    its coordinates on its own.
+    """
+    seen = set()
+    out = []
+    for row in combos:
+        acc = zero2(space.group, space.modulus)
+        for x, c in zip(row, parts):
+            acc = acc + c.scale(int(x))
+        coords = space.coordinates_of(acc)
+        if any(coords) and coords not in seen:
+            seen.add(coords)
+            out.append(space.representative(coords))
+    return tuple(out)
+
+
+def intersection_class_reps_hand_stacked(space, gens_a, gens_b) -> tuple:
+    """Representatives generating span(gens_a) ∩ span(gens_b) mod B².
+
+    The reference route: one kernel of the stack [gens_a; B²; gens_b; B²],
+    deduplicated row by row.
+    """
+    if not gens_a or not gens_b:
+        return ()
+    b_rows = np.concatenate([_v_rows(space, gens_b), space._cob_v], axis=0)
+    combos = relations_hand_stacked(space, gens_a, np.concatenate([space._cob_v, b_rows], axis=0))
+    return nonzero_classes_per_row(space, gens_a, combos)
+
+
+def five_term_node4_sets(group, sub, q: int):
+    """(Ker(inf: H²(G/T) → H²(G)), img(trg)) as coordinate sets, by enumeration.
+
+    The image side sums every mix of the transgressed basis homs as a cochain
+    and solves its coordinates on its own.
+    """
+    data = quotient(group, sub)
+    space = h2(data.quotient, q)
+    killed = {
+        coords for coords in space.enumerate_coordinates()
+        if is_coboundary(inflation2(space.representative(coords), data)) is not None
+    }
+    trg = [transgression(group, sub, psi, q, data) for psi in invariants_h1(group, sub, q).basis]
+    image = set()
+    for mix in itertools.product(range(q), repeat=len(trg)):
+        acc = zero2(data.quotient, q)
+        for x, t in zip(mix, trg):
+            acc = acc + t.scale(x)
+        image.add(space.coordinates_of(acc))
+    return killed, image
 
 
 def alpha_zero_predicate_solve(triple, t: int, chars, carrier, q: int):

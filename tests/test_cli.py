@@ -420,6 +420,24 @@ def test_cli_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("series", "--preset", "cyclic", "--params", "4", "--q", "2", "--depth", "2"),
+         "depth below 3 would truncate the level-3 data"),
+        (("free-model", "--d", "0", "--q", "2"), "need at least one generator"),
+        (("free-model", "--d", "3", "--q", "4"), "sharp model order 4^9 exceeds the cap 4096"),
+    ],
+    ids=["series-depth-below-3", "free-model-d-0", "free-model-over-cap"],
+)
+def test_cli_input_errors_exit_2_with_message(capsys, argv, message):
+    """Checked with explicit raises so it also runs under ``python -O``."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    if code != 2 or err != f"error: {message}\n":
+        raise AssertionError(f"exit {code}, stderr {err!r}")
+
+
 def test_cli_verify_linalg(capsys):
     code, out = _run(capsys, "verify", "linalg")
     assert code == 0

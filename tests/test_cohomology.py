@@ -42,8 +42,8 @@ from qcoh.cohomology import (
     tensor_kill_rows,
     tensor_quotient,
     transgression,
-    zero2,
 )
+from oracles import zero2
 from qcoh import cohomology
 from qcoh.cohomology import _solver_tree
 from qcoh.freemodel import free_level3

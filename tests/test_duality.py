@@ -24,6 +24,7 @@ from qcoh.cohomology import (
     bockstein,
     cup11,
     extension_from_class,
+    five_term_check,
     h1,
     h2,
     hat_ring,
@@ -526,6 +527,78 @@ def test_lift_kernel_mask_matches_all_pairs_oracle(label, args, q):
                 duality_mod._lift_kernel_mask(g, solver.data, ext)
         else:
             np.testing.assert_array_equal(duality_mod._lift_kernel_mask(g, solver.data, ext), slow)
+
+
+def _same_classes(fast, slow) -> bool:
+    return len(fast) == len(slow) and all(np.array_equal(a.values, b.values) for a, b in zip(fast, slow))
+
+
+@pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+@pytest.mark.parametrize("kind", TRIPLE_KINDS)
+def test_linear_dedupe_matches_per_row_oracle(label, args, q, kind):
+    """Kernel classes read by linear coordinates equal the per-row solve route, in order.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    g = _group(*args)
+    tri = triple_of(kind)
+    solver = transgression_solver(g, tri.top(g, q), q)
+    space = solver.space
+    gens = tri.alpha_image(space).gens
+    images = solver.data.projection.images
+    fast = duality_mod._inflation_kernel_classes(space, g, images, gens)
+    slow = oracles.nonzero_classes_per_row(space, gens, duality_mod._combo_kernel(g, q, list(gens), images))
+    if not _same_classes(fast, slow):
+        raise AssertionError(f"{label} {kind}: inflation kernel classes differ from the per-row route")
+    fast = duality_mod._intersection_class_reps(space, gens, solver.images)
+    slow = oracles.intersection_class_reps_hand_stacked(space, gens, solver.images)
+    if not _same_classes(fast, slow):
+        raise AssertionError(f"{label} {kind}: intersection classes differ from the hand-stacked route")
+
+
+@pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+def test_express_and_relations_match_hand_stacked_oracle(label, args, q):
+    """H2Space.express/relations and H2Subspace.relations against one solve or kernel of the stack.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    g = _group(*args)
+    solver = transgression_solver(g, q_central_series(g, q).term(2), q)
+    space = solver.space
+    families = [list(solver.images), list(space.basis)]
+    families += [list(triple_of(kind).alpha_image(space).gens) for kind in TRIPLE_KINDS]
+    targets = families[0] + families[1] + families[2]
+    for classes in families:
+        fast = space.relations(classes)
+        slow = oracles.relations_hand_stacked(space, classes, space._cob_v)
+        if fast.shape != slow.shape or fast.tobytes() != slow.tobytes():
+            raise AssertionError(f"{label}: H2Space.relations differs from the hand-stacked kernel")
+        for c in targets:
+            fast, slow = space.express(classes, c), oracles.express_hand_stacked(space, classes, c)
+            if (fast is None) != (slow is None) or (fast is not None and not np.array_equal(fast, slow)):
+                raise AssertionError(f"{label}: express differs from the hand-stacked solve")
+        sub = span_of_classes(space, classes)
+        for others in families:
+            fast = sub.relations(others)
+            slow = oracles.relations_hand_stacked(space, others, sub._span.matrix.entries)
+            if fast.shape != slow.shape or fast.tobytes() != slow.tobytes():
+                raise AssertionError(f"{label}: H2Subspace.relations differs from the hand-stacked kernel")
+
+
+@pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+def test_five_term_image_matches_mix_loop_oracle(label, args, q):
+    """Node 4 of the five-term check reads the same kernel and image sets as the mix loop.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    g = _group(*args)
+    top = q_central_series(g, q).term(2)
+    name, ok, detail = five_term_check(g, top, q).nodes[3]
+    killed, image = oracles.five_term_node4_sets(g, top, q)
+    if name != "kernel-inf2-equals-image-trg" or not ok or killed != image:
+        raise AssertionError(f"{label}: node 4 is not exact ({name}, {ok})")
+    if detail != f"kernel size {len(killed)}, image size {len(image)}":
+        raise AssertionError(f"{label}: node 4 reads {detail!r}")
 
 
 def test_combo_kernel_rejects_a_tampered_kernel_row(h27, monkeypatch):
