@@ -1193,6 +1193,10 @@ def tensor_kill_rows(
     j₁ < ··· < j_t.  ``alpha_kills`` maps an (N, t, m) array of coordinate
     vectors to N booleans; it is called at most once, on all t-tuples, and
     its answer serves every degree.  Degree cap r ≤ 3.
+
+    Each array holds every killed pure tensor mod q, in the order of its
+    r-tuple, so rows may repeat.  A span test needs no more; a caller that
+    needs a fixed relation matrix deduplicates the rows itself.
     """
     m = len(factors)
     if not all(1 <= r <= 3 for r in degrees):
@@ -1212,7 +1216,7 @@ def tensor_kill_rows(
         vecs = elems[tups[:, 0]]
         for j in range(1, r):
             vecs = (vecs[:, :, None] * elems[tups[:, j]][:, None, :]).reshape(len(tups), m ** (j + 1))
-        out.append(np.unique(vecs % q, axis=0))
+        out.append(vecs % q)
     return tuple(out)
 
 
@@ -1273,7 +1277,9 @@ def hat_ring(group: FiniteGroup, q: int, max_degree: int = 2, cap: int = H2_CAP)
 
     rs = range(1, max_degree + 1)
     kills = tensor_kill_rows(h1s.invariant_factors, q, rs, 2, cup_is_zero)
-    degrees = {r: tensor_quotient(h1s.invariant_factors, q, r, rows) for r, rows in zip(rs, kills)}
+    degrees = {
+        r: tensor_quotient(h1s.invariant_factors, q, r, np.unique(rows, axis=0)) for r, rows in zip(rs, kills)
+    }
     dec = h2_dec(sp)
     return HatRing(group, q, degrees, dec.order)
 

@@ -811,7 +811,7 @@ def duality_conditions(
             width,
             q,
         )
-        injective = all(row_span_contains(howell_form(_as_matrix(rel_rows, width, q)), r) for r in meet)
+        injective = not coset_reduce(_as_matrix(rel_rows, width, q), meet).any()
     else:
         injective = True
     cond_b = injective and trg_sub.within(sub) and trg_sub.same_span(ker_sub)

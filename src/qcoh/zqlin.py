@@ -7,13 +7,18 @@ repairs both defects: it is the unique echelon form that is closed under the
 membership tests, canonical coset representatives, and kernel extraction
 complete over Z/p**s.
 
-Everything is dense ``int64`` numpy underneath.  Values are immutable after
-construction and all operations are pure functions, so the whole layer is
-safe to share between threads.
+Everything is dense ``int64`` numpy underneath.  One private elimination,
+``_howell_rows``, works column by column over a 2-D row pool with array
+updates (after Howell 1986 and Storjohann–Mulders 1998).  ``howell_form``
+records the span only; ``solve`` is the one caller that needs the row
+operations, and it gets them by reducing [Aᵀ | I] through the same routine.
+Values are immutable after construction and all operations are pure
+functions, so the whole layer is safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -62,23 +67,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, s
 
 
-def _valuation(a: int, p: int, s: int) -> int:
-    """p-adic valuation of the residue ``a``; zero gets valuation ``s``."""
-    if a == 0:
-        return s
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
-def _unit_scale_to_pivot(a: int, v: int, p: int, q: int) -> int:
-    """Return a unit ``w`` with ``(w * a) % q == p**v`` for ``a`` of valuation ``v``."""
-    pv = p**v
+def _unit_scale_to_pivot(a: int, pv: int, q: int) -> int:
+    """Return a unit ``w`` with ``(w * a) % q == pv``, where ``pv = gcd(a, q) < q``."""
     cofactor = q // pv
-    w = pow((a // pv) % cofactor, -1, cofactor) if cofactor > 1 else 1
-    return w % q
+    return pow((a // pv) % cofactor, -1, cofactor)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -175,38 +167,74 @@ class ZqMatrix:
 
 @dataclass(frozen=True, eq=False)
 class HowellForm:
-    """Canonical row-reduced form ``matrix`` plus the row-operation record.
+    """Canonical row-reduced form ``matrix`` of a row span, with its pivots.
 
-    ``transform @ input == matrix`` (mod q); equality of row spans and
-    canonicity (same span => same ``matrix``) are the defining guarantees.
+    Equality of row spans and canonicity (same span => same ``matrix``) are
+    the defining guarantees.  ``pivots`` holds one ``(row, col, pivot_value)``
+    per row of ``matrix``; pivot values are p-powers.
     """
 
     matrix: ZqMatrix
-    transform: ZqMatrix
+    pivots: tuple[tuple[int, int, int], ...]
 
     @property
     def modulus(self) -> int:
         return self.matrix.modulus
 
-    @property
-    def pivots(self) -> tuple[tuple[int, int, int], ...]:
-        """Tuples ``(row, col, pivot_value)``; pivot values are p-powers."""
-        return _pivots_of(self.matrix.entries)
 
+def _howell_rows(
+    a: np.ndarray, q: int, ncols: int
+) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """Howell rows of the residues ``a``, pivoting only in its first ``ncols`` columns.
 
-def _pivots_of(h: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for i in range(h.shape[0]):
-        nz = np.flatnonzero(h[i])
-        if nz.size == 0:  # pragma: no cover - canonical forms carry no zero rows
+    Columns from ``ncols`` on ride along: on ``[A | I]`` they record the row
+    operations, so each returned row is ``[h | u]`` with ``u @ A == h``.
+
+    One 2-D array holds the pivot rows found so far, then the pool.  Rows
+    popped as pivots are zeroed in place and annihilator-shifted rows are
+    appended at the end, so pool order is list order.  Each pivot is the first
+    pool row that minimizes gcd(entry, q) = p**v(entry).  One update then
+    clears the pivot column below and reduces it above, touching only the rows
+    with a nonzero entry there, which keeps sparse inputs (coboundary blocks)
+    cheap.  A pivot row is final when found, so reducing the rows above it
+    then gives the same rows as a separate back-substitution pass would.
+    """
+    n, width = a.shape
+    if n == 0:
+        return np.zeros((0, width), dtype=np.int64), ()
+    # A pivot p**v adds s - v >= 1 to the length of the span, which n rows
+    # bound by n*s; so there are at most `top` pivots, and as many shifted rows.
+    top = min(ncols, n * factor_prime_power(q)[1])
+    work = np.zeros((2 * top + n, width), dtype=np.int64)
+    work[top : top + n] = a
+    end = top + n
+    pivots: list[tuple[int, int, int]] = []
+    for j in range(ncols):
+        # invariant: every pool row is zero in columns < j
+        col = work[:end, j]
+        gcds = np.gcd(col[top:], q)
+        k = int(gcds.argmin())
+        pv = int(gcds[k])
+        if pv == q:  # the column is zero in the pool
             continue
-        j = int(nz[0])
-        out.append((i, j, int(h[i, j])))
-    return tuple(out)
+        k += top
+        piv = work[k, j:] * _unit_scale_to_pivot(int(col[k]), pv, q) % q
+        work[k, j:] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            work[hit, j:] = (work[hit, j:] - (col[hit] // pv)[:, None] * piv) % q
+        work[len(pivots), j:] = piv
+        pivots.append((len(pivots), j, pv))
+        if pv > 1:
+            shifted = piv * (q // pv) % q
+            if shifted[: ncols - j].any():
+                work[end, j:] = shifted
+                end += 1
+    return work[: len(pivots)], tuple(pivots)
 
 
 def howell_form(matrix: ZqMatrix) -> HowellForm:
-    """Canonical Howell form of ``matrix`` with its transform record.
+    """Canonical Howell form of the row span of ``matrix``.
 
     The form is echelon with p-power pivots, entries above each pivot reduced
     below it, and — the step beyond Hermite — for every pivot p**v with v > 0
@@ -214,55 +242,8 @@ def howell_form(matrix: ZqMatrix) -> HowellForm:
     inputs with equal row span produce the identical form, and the form is a
     fixed point of this function.
     """
-    q = matrix.modulus
-    p, s = factor_prime_power(q)
-    n, m = matrix.rows, matrix.cols
-
-    # Work rows carry the combination record in columns m .. m+n.
-    pool: list[np.ndarray] = []
-    for i in range(n):
-        row = np.zeros(m + n, dtype=np.int64)
-        row[:m] = matrix.entries[i]
-        row[m + i] = 1
-        pool.append(row)
-
-    done: list[np.ndarray] = []
-    done_pivots: list[tuple[int, int]] = []  # (col, pivot value)
-    for j in range(m):
-        # invariant: every pool row is zero in columns < j
-        candidates = [(idx, _valuation(int(r[j]), p, s)) for idx, r in enumerate(pool) if r[j]]
-        if not candidates:
-            continue
-        k, v = min(candidates, key=lambda t: t[1])
-        piv = pool.pop(k)
-        piv = (piv * _unit_scale_to_pivot(int(piv[j]), v, p, q)) % q
-        pv = p**v
-        for r in pool:
-            if r[j]:
-                r -= (int(r[j]) // pv) * piv
-                r %= q
-        done.append(piv)
-        done_pivots.append((j, pv))
-        if v > 0:
-            shifted = (piv * (q // pv)) % q
-            if shifted[:m].any():
-                pool.append(shifted)
-
-    # Reduce entries above each pivot into [0, pivot).
-    for k in range(len(done)):
-        j, pv = done_pivots[k]
-        for i in range(k):
-            f = int(done[i][j]) // pv
-            if f:
-                done[i] = (done[i] - f * done[k]) % q
-
-    if done:
-        stacked = np.vstack(done)
-        h, u = stacked[:, :m], stacked[:, m:]
-    else:
-        h = np.zeros((0, m), dtype=np.int64)
-        u = np.zeros((0, n), dtype=np.int64)
-    return HowellForm(ZqMatrix(h, q), ZqMatrix(u, q))
+    h, pivots = _howell_rows(matrix.entries, matrix.modulus, matrix.cols)
+    return HowellForm(ZqMatrix(h, matrix.modulus), pivots)
 
 
 def _as_howell(mat: "ZqMatrix | HowellForm") -> HowellForm:
@@ -312,19 +293,21 @@ def solve(matrix: ZqMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
     b = np.mod(np.asarray(rhs, dtype=np.int64), q)
     if b.shape != (matrix.rows,):
         raise ValueError(f"expected right-hand side of length {matrix.rows}, got shape {b.shape}")
-    hf = howell_form(matrix.T)
-    h = hf.matrix.entries
-    coeffs = np.zeros(h.shape[0], dtype=np.int64)
+    # Howell rows of [Aᵀ | I] pivoted in Aᵀ's columns: each is [h | u] with u @ Aᵀ == h.
+    m = matrix.rows
+    aug = np.concatenate([matrix.entries.T, np.eye(matrix.cols, dtype=np.int64)], axis=1)
+    rows, pivots = _howell_rows(aug, q, m)
+    coeffs = np.zeros(rows.shape[0], dtype=np.int64)
     r = b.copy()
-    for i, j, pv in hf.pivots:
+    for i, j, pv in pivots:
         a = int(r[j])
         if a % pv:
             return None
         coeffs[i] = a // pv
-        r = (r - coeffs[i] * h[i]) % q
+        r = (r - coeffs[i] * rows[i, :m]) % q
     if r.any():
         return None
-    x = (coeffs @ hf.transform.entries) % q
+    x = (coeffs @ rows[:, m:]) % q
     if not np.array_equal(matrix.apply(x), b):
         raise AssertionError("solver postcondition violated")
     return x
@@ -371,7 +354,6 @@ class SmithDecomposition:
 def smith_decomposition(matrix: ZqMatrix) -> SmithDecomposition:
     """Smith-style diagonalization over the chain ring Z/p**s."""
     q = matrix.modulus
-    p, s = factor_prime_power(q)
     a = matrix.entries.copy()
     n, m = a.shape
     u = np.eye(n, dtype=np.int64)
@@ -384,10 +366,9 @@ def smith_decomposition(matrix: ZqMatrix) -> SmithDecomposition:
             break
         # Global minimum valuation in the remaining block makes every later
         # entry divisible by the pivot, so elimination is exact.
-        flat_vals = np.array(
-            [_valuation(int(x), p, s) for x in sub.ravel()], dtype=np.int64
-        ).reshape(sub.shape)
-        bi, bj = np.unravel_index(int(np.argmin(flat_vals)), sub.shape)
+        gcds = np.gcd(sub, q)
+        bi, bj = np.unravel_index(int(gcds.argmin()), sub.shape)
+        pv = int(gcds[bi, bj])
         bi, bj = bi + t, bj + t
         if bi != t:
             a[[t, bi]] = a[[bi, t]]
@@ -396,12 +377,10 @@ def smith_decomposition(matrix: ZqMatrix) -> SmithDecomposition:
             a[:, [t, bj]] = a[:, [bj, t]]
             v[:, [t, bj]] = v[:, [bj, t]]
             vi[[t, bj]] = vi[[bj, t]]
-        val = _valuation(int(a[t, t]), p, s)
-        w = _unit_scale_to_pivot(int(a[t, t]), val, p, q)
+        w = _unit_scale_to_pivot(int(a[t, t]), pv, q)
         if w != 1:
             a[t] = (a[t] * w) % q
             u[t] = (u[t] * w) % q
-        pv = p**val
         for i in range(n):
             if i != t and a[i, t]:
                 f = int(a[i, t]) // pv
@@ -452,16 +431,15 @@ class AbGroupPresentation:
             rel = ZqMatrix.from_rows(relation_rows, ngens, q)
         if rel.cols != ngens:
             raise ValueError(f"relations have {rel.cols} columns, expected {ngens}")
-        p, s = factor_prime_power(q)
         dec = smith_decomposition(rel)
         diag = dec.diagonal.entries
         orders: list[int] = []
         slots: list[int] = []
         for j in range(ngens):
             d = int(diag[j, j]) if j < min(rel.rows, ngens) else 0
-            k = _valuation(d, p, s)
-            if k > 0:
-                orders.append(p**k)
+            order = math.gcd(d, q)  # the cyclic factor Z/q / (d)
+            if order > 1:
+                orders.append(order)
                 slots.append(j)
         images = dec.col_transform_inv.entries[slots, :].reshape(len(slots), ngens)
         coord_cols = dec.col_transform.entries[:, slots].reshape(ngens, len(slots))
@@ -521,16 +499,8 @@ def _annihilator_generators(
     pairing_kernel: ZqMatrix, relations: ZqMatrix
 ) -> tuple[tuple[int, ...], ...]:
     """Nonzero canonical representatives of the kernel generators modulo relations."""
-    rel_h = howell_form(relations)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for i in range(pairing_kernel.rows):
-        rep = coset_reduce(rel_h, pairing_kernel.entries[i])
-        key = tuple(int(x) for x in rep)
-        if any(key) and key not in seen:
-            seen.add(key)
-            out.append(key)
-    return tuple(out)
+    reps = coset_reduce(relations, pairing_kernel.entries)
+    return tuple(key for key in dict.fromkeys(map(tuple, reps.tolist())) if any(key))
 
 
 def pairing_perfection(

@@ -28,7 +28,7 @@ from qcoh.cohomology import (
 )
 from qcoh.freemodel import free_level3
 from qcoh.groups import _BLOCK_CELLS, FiniteGroup, GroupHom, preset, q_central_series, quotient
-from qcoh.zqlin import AbGroupPresentation, ZqMatrix, howell_form, kernel, row_span_contains, solve
+from qcoh.zqlin import AbGroupPresentation, ZqMatrix, factor_prime_power, howell_form, kernel, row_span_contains, solve
 
 
 def all_vectors(q: int, n: int):
@@ -70,6 +70,143 @@ def brute_kernel(mat, q: int) -> set[tuple[int, ...]]:
     mat = np.asarray(mat, dtype=np.int64)
     zero = np.zeros(mat.shape[0], dtype=np.int64)
     return set(brute_solutions(mat, zero, q))
+
+
+def _valuation(a: int, p: int, s: int) -> int:
+    """p-adic valuation of the residue ``a``; zero gets valuation ``s``."""
+    if a == 0:
+        return s
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _unit_to_pivot(a: int, v: int, p: int, q: int) -> int:
+    pv = p**v
+    cofactor = q // pv
+    return pow((a // pv) % cofactor, -1, cofactor) % q if cofactor > 1 else 1
+
+
+def howell_form_loop(matrix) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The Howell form one Python row at a time, with its transform record.
+
+    Returns ``(h, u, pivots)`` with ``u @ matrix == h`` (mod q).  The pool is
+    a list of rows carrying the combination record in extra columns; each
+    pivot is the first pool row of least valuation in its column.
+    """
+    q = matrix.modulus
+    p, s = factor_prime_power(q)
+    n, m = matrix.rows, matrix.cols
+    pool = []
+    for i in range(n):
+        row = np.zeros(m + n, dtype=np.int64)
+        row[:m] = matrix.entries[i]
+        row[m + i] = 1
+        pool.append(row)
+    done, done_pivots = [], []
+    for j in range(m):
+        candidates = [(idx, _valuation(int(r[j]), p, s)) for idx, r in enumerate(pool) if r[j]]
+        if not candidates:
+            continue
+        k, v = min(candidates, key=lambda t: t[1])
+        piv = pool.pop(k)
+        piv = (piv * _unit_to_pivot(int(piv[j]), v, p, q)) % q
+        pv = p**v
+        for r in pool:
+            if r[j]:
+                r -= (int(r[j]) // pv) * piv
+                r %= q
+        done.append(piv)
+        done_pivots.append((j, pv))
+        if v > 0:
+            shifted = (piv * (q // pv)) % q
+            if shifted[:m].any():
+                pool.append(shifted)
+    for k in range(len(done)):
+        j, pv = done_pivots[k]
+        for i in range(k):
+            f = int(done[i][j]) // pv
+            if f:
+                done[i] = (done[i] - f * done[k]) % q
+    stacked = np.vstack(done) if done else np.zeros((0, m + n), dtype=np.int64)
+    pivots = tuple((i, j, pv) for i, (j, pv) in enumerate(done_pivots))
+    return stacked[:, :m], stacked[:, m:], pivots
+
+
+def solve_loop(matrix, rhs):
+    """``solve`` on the loop Howell form of Aᵀ and its transform record."""
+    q = matrix.modulus
+    b = np.mod(np.asarray(rhs, dtype=np.int64), q)
+    h, u, pivots = howell_form_loop(matrix.T)
+    coeffs = np.zeros(h.shape[0], dtype=np.int64)
+    r = b.copy()
+    for i, j, pv in pivots:
+        a = int(r[j])
+        if a % pv:
+            return None
+        coeffs[i] = a // pv
+        r = (r - coeffs[i] * h[i]) % q
+    if r.any():
+        return None
+    return (coeffs @ u) % q
+
+
+def kernel_loop(matrix) -> np.ndarray:
+    """``kernel`` on the loop Howell form of [Mᵀ | I]."""
+    q, nvars = matrix.modulus, matrix.cols
+    aug = np.hstack([matrix.entries.T, np.eye(nvars, dtype=np.int64)])
+    h, _, _ = howell_form_loop(ZqMatrix(aug, q))
+    if h.shape[0] == 0:
+        return np.eye(nvars, dtype=np.int64)
+    return h[~h[:, : matrix.rows].any(axis=1), matrix.rows :].reshape(-1, nvars)
+
+
+def smith_decomposition_loop(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Smith diagonalization with a per-cell valuation scan for the pivot.
+
+    Returns ``(diagonal, row_transform, col_transform, col_transform_inv)``.
+    """
+    q = matrix.modulus
+    p, s = factor_prime_power(q)
+    a = matrix.entries.copy()
+    n, m = a.shape
+    u = np.eye(n, dtype=np.int64)
+    v = np.eye(m, dtype=np.int64)
+    vi = np.eye(m, dtype=np.int64)
+    for t in range(min(n, m)):
+        sub = a[t:, t:]
+        if not sub.any():
+            break
+        flat_vals = np.array([_valuation(int(x), p, s) for x in sub.ravel()], dtype=np.int64).reshape(sub.shape)
+        bi, bj = np.unravel_index(int(np.argmin(flat_vals)), sub.shape)
+        bi, bj = bi + t, bj + t
+        if bi != t:
+            a[[t, bi]] = a[[bi, t]]
+            u[[t, bi]] = u[[bi, t]]
+        if bj != t:
+            a[:, [t, bj]] = a[:, [bj, t]]
+            v[:, [t, bj]] = v[:, [bj, t]]
+            vi[[t, bj]] = vi[[bj, t]]
+        val = _valuation(int(a[t, t]), p, s)
+        w = _unit_to_pivot(int(a[t, t]), val, p, q)
+        if w != 1:
+            a[t] = (a[t] * w) % q
+            u[t] = (u[t] * w) % q
+        pv = p**val
+        for i in range(n):
+            if i != t and a[i, t]:
+                f = int(a[i, t]) // pv
+                a[i] = (a[i] - f * a[t]) % q
+                u[i] = (u[i] - f * u[t]) % q
+        for j in range(m):
+            if j != t and a[t, j]:
+                f = int(a[t, j]) // pv
+                a[:, j] = (a[:, j] - f * a[:, t]) % q
+                v[:, j] = (v[:, j] - f * v[:, t]) % q
+                vi[t] = (vi[t] + f * vi[j]) % q
+    return a, u, v, vi
 
 
 # ---------------------------------------------------------------------------

@@ -635,8 +635,8 @@ def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
     """Kernel-membership α predicates and ``_inflation_iso`` agree with the old routes.
 
     For every normal N ≤ T: the batched ``tensor_kill_rows`` of the down and up
-    predicates equals the per-tuple oracle driven by one solve per tuple, at
-    each (r, t), and ``_inflation_iso`` gives the same (mono, surj) as the
+    predicates has the row set of the per-tuple oracle driven by one solve per
+    tuple, at each (r, t), and ``_inflation_iso`` gives the same (mono, surj) as the
     lattice oracle.
     Checked with numpy's assertions so the comparison also runs under ``python -O``.
     """
@@ -662,7 +662,8 @@ def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
             for fast, slow in sides:
                 for r, rows in zip(rs, tensor_kill_rows(h1n.invariant_factors, q, rs, t, fast)):
                     np.testing.assert_array_equal(
-                        rows, oracles.tensor_kill_rows_per_tuple(h1n.invariant_factors, q, r, t, slow)
+                        np.unique(rows, axis=0),
+                        oracles.tensor_kill_rows_per_tuple(h1n.invariant_factors, q, r, t, slow),
                     )
         target_gens = tri.alpha_generator_classes(qd.quotient, q)
         np.testing.assert_equal(

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import all_vectors, brute_kernel, brute_solutions, span_closure
+from qcoh.cohomology import _coboundary_rows, _solver_gens
+from qcoh.groups import preset
 from qcoh.zqlin import (
+    _howell_rows,
     AbGroupPresentation,
     ZqMatrix,
     coset_reduce,
@@ -61,7 +65,7 @@ def matrices(max_rows=4, max_cols=4):
 def test_howell_already_canonical_single_entry():
     hf = howell_form(ZqMatrix([[2]], 4))
     assert hf.matrix == ZqMatrix([[2]], 4)
-    assert hf.transform == ZqMatrix([[1]], 4)
+    assert hf.pivots == ((0, 0, 2),)
 
 
 def test_howell_zero_matrix_is_empty():
@@ -93,10 +97,14 @@ def test_howell_preserves_span(m):
 @given(matrices())
 def test_howell_transform_and_idempotence(m):
     hf = howell_form(m)
-    reproduced = (hf.transform.entries @ m.entries) % m.modulus
-    assert np.array_equal(reproduced, hf.matrix.entries)
     again = howell_form(hf.matrix)
     assert again.matrix == hf.matrix
+    # the record ``solve`` builds: [M | I] pivoted in M's columns is [H | U] with U·M ≡ H
+    aug = np.concatenate([m.entries, np.eye(m.rows, dtype=np.int64)], axis=1)
+    rows, pivots = _howell_rows(aug, m.modulus, m.cols)
+    h, u = rows[:, : m.cols], rows[:, m.cols :]
+    assert np.array_equal(h, hf.matrix.entries) and pivots == hf.pivots
+    assert np.array_equal((u @ m.entries) % m.modulus, h)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,6 +221,45 @@ def test_kernel_random_3x3_mod8_cardinality():
         mat = rnd.integers(0, 8, size=(3, 3))
         k = kernel(ZqMatrix(mat, 8))
         assert len(span_closure(k.entries, 8, 3)) == len(brute_kernel(mat, 8))
+
+
+def _differential_inputs(q):
+    """Random, empty, all-zero, tall and coboundary-shaped sparse wide matrices over Z/q."""
+    rnd = np.random.default_rng(2000 + q)
+    p, _ = factor_prime_power(q)
+    out = [np.zeros((0, 4)), np.zeros((3, 0)), np.zeros((0, 0)), np.zeros((5, 6))]
+    for _ in range(40):
+        shape = tuple(int(x) for x in rnd.integers(0, 13, size=2))
+        mat = rnd.integers(0, q, size=shape) * (rnd.random(shape) < rnd.random())
+        out.append(mat * p**int(rnd.integers(0, 2)))
+    out.append(rnd.integers(0, q, size=(700, 8)) * p ** rnd.integers(0, 2, size=(700, 1)))
+    g = preset("elementary_abelian", [2, 4])
+    out.append(_coboundary_rows(g, q, _solver_gens(g)))
+    return [ZqMatrix(np.asarray(mat, dtype=np.int64), q) for mat in out]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27])
+def test_zqlin_matches_row_loop_oracle(q):
+    """The array-native Howell form, ``solve``, ``kernel`` and Smith form equal the
+    row-loop oracles byte for byte.  Explicit raises, so it also runs under ``python -O``."""
+    rnd = np.random.default_rng(q)
+    for m in _differential_inputs(q):
+        h, _, pivots = oracles.howell_form_loop(m)
+        hf = howell_form(m)
+        np.testing.assert_array_equal(hf.matrix.entries, h)
+        if hf.pivots != pivots:
+            raise AssertionError(f"pivots {hf.pivots} != {pivots}")
+        np.testing.assert_array_equal(kernel(m).entries, oracles.kernel_loop(m))
+        for rhs in (rnd.integers(0, q, size=m.rows), m.apply(rnd.integers(0, q, size=m.cols))):
+            got, want = solve(m, rhs), oracles.solve_loop(m, rhs)
+            if (got is None) != (want is None):
+                raise AssertionError(f"solve gave {got}, oracle {want}")
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+        dec = smith_decomposition(m)
+        got = (dec.diagonal, dec.row_transform, dec.col_transform, dec.col_transform_inv)
+        for mine, theirs in zip(got, oracles.smith_decomposition_loop(m)):
+            np.testing.assert_array_equal(mine.entries, theirs)
 
 
 # ---------------------------------------------------------------------------
