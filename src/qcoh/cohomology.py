@@ -489,7 +489,7 @@ def h1(group: FiniteGroup, q: int) -> H1Space:
 
 def _h1(group: FiniteGroup, q: int) -> H1Space:
     coeff, const, gens = _affine_propagation(group, q)
-    a = np.unique(_pair_system(group, q, coeff, const, gens), axis=0)
+    a = _pair_system(group, q, coeff, const, gens)
     ker = kernel(ZqMatrix(a, q)).entries if a.size else np.eye(len(gens), dtype=np.int64)
     basis_rows, factors = _canonical_span_basis(ker, q)
     basis = []
@@ -595,7 +595,7 @@ def _invariants_h1(group: FiniteGroup, sub: Subgroup, q: int) -> InvariantH1:
     rows = []
     for perm in perms:
         rows.append((vals[:, perm] - vals).T % q)
-    constraint = np.unique(np.concatenate(rows, axis=0), axis=0)
+    constraint = np.concatenate(rows, axis=0)
     ker = kernel(ZqMatrix(constraint, q)).entries
     inv_rows = (ker @ vals) % q
     basis_rows, factors = _canonical_span_basis(inv_rows, q)
@@ -748,7 +748,7 @@ def _consistent_tails(pc: PcPresentation, forms: np.ndarray, q: int) -> np.ndarr
             rows[:, tails[i, j]] -= 1
             blocks.append(rows % q)
     m = forms.shape[2]
-    rows = np.unique(np.concatenate(blocks), axis=0) if blocks else np.zeros((0, m), dtype=np.int64)
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, m), dtype=np.int64)
     rows = rows[rows.any(axis=1)]
     return kernel(ZqMatrix(rows, q)).entries if rows.size else np.eye(m, dtype=np.int64)
 

@@ -221,7 +221,7 @@ def _twist_kernel(source: FiniteGroup, q: int, twists: np.ndarray) -> np.ndarray
             return _freeze(np.zeros((0, 0), dtype=np.int64))
         coeff, const, gens = _affine_propagation(source, q, twists)
         system = _pair_system(source, q, coeff, const, gens, twists)
-        combos = kernel(ZqMatrix(np.unique(system, axis=0), q)).entries
+        combos = kernel(ZqMatrix(system, q)).entries
         if ((system @ combos.T) % q).any():
             raise AssertionError("combination kernel row violates the pair system")
         return _freeze(combos[:, len(gens) :] % q)

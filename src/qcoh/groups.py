@@ -10,13 +10,15 @@ n·|S| cells instead of n².  A subgroup N with s⁻¹Ns ⊆ N for every
 generator s is normal, at |N|·|S| cells instead of n·|N|.
 
 The scans that must stay all-pairs (Light's test, the closure check of a
-:class:`Subgroup`, :func:`subgroup_closure` and :func:`commutator_subgroup`)
-run in row blocks of a fixed cell budget, so no temporary outgrows one
-block; the products they collect are marked in a boolean mask over the
-group rather than sorted and deduplicated.  Verbal subgroups
-(m-th powers, commutators) are computed by scanning *all* elements or pairs
-of the relevant subgroups and then closing — generator-only scans are a
-known trap there and are deliberately avoided.
+:class:`Subgroup` and :func:`subgroup_closure`) run in row blocks of a fixed
+cell budget, so no temporary outgrows one block; the products they collect
+are marked in a boolean mask over the group rather than sorted and
+deduplicated.  Power subgroups are computed by scanning *all* elements of
+the subgroup and then closing: the powers of generators alone would miss
+some.  A commutator subgroup [H, K] is the normal closure, under a
+generating tuple Y of K, of the seeds [h, y] for h ∈ H and y ∈ Y; the
+closure loop ends only once y⁻¹Cy ⊆ C is checked for every y, and that
+check proves the result equal to [H, K] (:func:`commutator_subgroup`).
 
 A solvable group also has a pc presentation (:func:`pc_presentation`): the
 derived series refined into steps of prime index, each element's exponent
@@ -125,13 +127,17 @@ def _reachable(table: np.ndarray, identity: int, gens: Sequence[int]) -> np.ndar
     return seen
 
 
-def _greedy_generators(table: np.ndarray, identity: int) -> list[int]:
+def _greedy_generators(table: np.ndarray, identity: int, members: Sequence[int]) -> list[int]:
+    """Generators of the subgroup on ``members``: the first member outside the
+    subgroup generated so far, added until that subgroup holds every member."""
+    target = np.zeros(table.shape[0], dtype=bool)
+    target[np.asarray(members, dtype=np.int64)] = True
     gens: list[int] = []
-    seen = _reachable(table, identity, gens)
-    while not seen.all():
-        gens.append(int(np.flatnonzero(~seen)[0]))
-        seen = _reachable(table, identity, gens)
-    return gens
+    while True:
+        missing = np.flatnonzero(target & ~_reachable(table, identity, gens))
+        if missing.size == 0:
+            return gens
+        gens.append(int(missing[0]))
 
 
 def _row_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
@@ -292,7 +298,7 @@ class FiniteGroup:
         e = _find_identity(t)
         inv = _find_inverses(t, e)
         if generators is None:
-            gens = _greedy_generators(t, e)
+            gens = _greedy_generators(t, e, range(t.shape[0]))
         else:
             gens = [int(g) for g in generators]
         if gen_names is None:
@@ -322,12 +328,33 @@ def _memoized(group: FiniteGroup, key: tuple, build: Callable[[], _T]) -> _T:
 def _generator_tree(group: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
     """Read-only 3×m rows (element, parent, generator position) of the BFS tree
     over ``gens``, element = parent·gens[position]; kept on the group per ``gens``."""
+    return _generator_tree_jumps(group, gens)[0]
+
+
+def _generator_tree_jumps(
+    group: FiniteGroup, gens: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The :func:`_generator_tree` rows, each element's generator position
+    (``len(gens)`` at the identity), and the ancestor maps a, a∘a, (a∘a)∘(a∘a),
+    … of the parent map a, up to the last one that leaves an element below the
+    identity; all read-only and kept on the group per ``gens``."""
     key = tuple(int(g) for g in gens)
 
-    def build() -> np.ndarray:
-        arr = np.array(_bfs_tree(group.table, group.identity, key), dtype=np.int64).reshape(-1, 3).T
-        arr.flags.writeable = False
-        return arr
+    def build() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        e = group.identity
+        arr = np.array(_bfs_tree(group.table, e, key), dtype=np.int64).reshape(-1, 3).T
+        elem, parent, pos = arr
+        position = np.full(group.order, len(key), dtype=np.int64)
+        position[elem] = pos
+        anc = np.full(group.order, e, dtype=np.int64)
+        anc[elem] = parent
+        jumps = []
+        while (anc != e).any():
+            jumps.append(anc)
+            anc = anc[anc]
+        for a in (arr, position, *jumps):
+            a.flags.writeable = False
+        return arr, position, tuple(jumps)
 
     return _memoized(group, ("bfs_tree", key), build)
 
@@ -444,6 +471,12 @@ def subgroup_closure(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``seeds``: repeated product closure."""
     seen = np.zeros(group.order, dtype=bool)
     seen[np.array([group.identity, *seeds], dtype=np.int64)] = True
+    return _close(group, seen)
+
+
+def _close(group: FiniteGroup, seen: np.ndarray) -> Subgroup:
+    """The subgroup generated by the marked elements and the identity; ``seen`` is overwritten."""
+    seen[group.identity] = True
     while True:
         current = np.flatnonzero(seen)
         for blk in _row_blocks(group.table, current, current):
@@ -480,23 +513,44 @@ def power_subgroup(group: FiniteGroup, sub: Subgroup, m: int) -> Subgroup:
 
 
 def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> Subgroup:
-    """Subgroup generated by [h, k] over *all* pairs h ∈ left, k ∈ right."""
-    t = group.table
-    h = np.array(left.members, dtype=np.int64)
-    k = np.array(right.members, dtype=np.int64)
+    """[H, K], the subgroup generated by [h, k] = h⁻¹k⁻¹hk over h ∈ left, k ∈ right.
+
+    Built from generators (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, ch. 3).  Y generates K: it is the group's generating
+    tuple when K is the whole group, else a greedy one.  The seeds [h, y],
+    h ∈ H, y ∈ Y, are closed to a subgroup C, and C is conjugated by Y and
+    closed again until y⁻¹Cy ⊆ C holds for every y ∈ Y.  That check, made
+    before return, certifies the result.  C ≤ [H, K]: C is generated by
+    K-conjugates of commutators, and K normalizes [H, K].  [H, K] ≤ C:
+    [h, ky] = [h, y]·[h, k]^y, so with C normalized by K, induction on k as a
+    positive word in Y puts every [h, k] in C.  The work is |H|·|Y| seeds and
+    a few closure rounds, not |H|·|K| pairs.
+    """
+    t, inv = group.table, group.inverses
+    if right.order == group.order:
+        ys = group.generators
+    else:
+        ys = _greedy_generators(t, group.identity, right.members)
+    h = np.array(left.members, dtype=np.int64)[:, None]
+    y = np.array(ys, dtype=np.int64)
     seen = np.zeros(group.order, dtype=bool)
-    # [h,k] = (h⁻¹k⁻¹)(hk); row i, column j pairs h_i with k_j in both factors
-    inv_part = _row_blocks(t, group.inverses[h], group.inverses[k])
-    for hk, hk_inv in zip(_row_blocks(t, h, k), inv_part):
-        seen[t[hk_inv, hk]] = True
-    return subgroup_closure(group, np.flatnonzero(seen))
+    seen[t[t[inv[h], inv[y]], t[h, y]]] = True  # [h, y] = (h⁻¹y⁻¹)(hy), one row per h
+    closure = _close(group, seen)
+    y = y[:, None]
+    while True:
+        conj = t[t[inv[y], np.array(closure.members, dtype=np.int64)], y]  # one row yᵢ⁻¹Cyᵢ per yᵢ
+        if closure.mask[conj].all():
+            return closure
+        seen = closure.mask.copy()
+        seen[conj] = True
+        closure = _close(group, seen)
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    members = [
-        x for x in group.elements() if np.array_equal(group.table[x], group.table[:, x])
-    ]
-    return Subgroup(group, tuple(members))
+    """Z(G): x is central iff x·s = s·x for every generator s, one n × |S| comparison."""
+    gens = np.array(group.generators, dtype=np.int64)
+    central = (group.table[:, gens] == group.table[gens, :].T).all(axis=1)
+    return Subgroup(group, tuple(np.flatnonzero(central).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -807,17 +861,23 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientData:
 
 def _extend_gen_images(
     source: FiniteGroup,
-    tree: Sequence[Sequence[int]],
+    tree_jumps: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
     assignment: Sequence[int],
     target: FiniteGroup,
 ) -> np.ndarray:
-    """The map with generator images ``assignment``, extended along the (element,
-    parent, position) rows of ``tree``; multiplicativity is not checked."""
-    images = np.full(source.order, -1, dtype=np.int64)
-    images[source.identity] = target.identity
-    tt = target.table
-    for elem, parent, pos in tree:
-        images[elem] = tt[images[parent], assignment[pos]]
+    """The map with generator images ``assignment``, extended along the BFS tree
+    of ``source`` (its :func:`_generator_tree_jumps`); multiplicativity is not checked.
+
+    Each element's image is the product of the generator images on its tree
+    path.  Pointer doubling forms it in log₂(depth) gathers: images[x] starts
+    as the image of x's own step, and each round sets images[x] to
+    images[a(x)]·images[x] for the next ancestor map a.  The target is
+    associative, so the product is the one an edge-by-edge walk gives.
+    """
+    _, position, jumps = tree_jumps
+    images = np.append(np.asarray(assignment, dtype=np.int64), target.identity)[position]
+    for anc in jumps:
+        images = target.table[images[anc], images]
     return images
 
 
@@ -836,9 +896,9 @@ def _hom_images(
     ``surjective``, a map that is not onto is dropped first, before the
     multiplicativity check.
     """
-    tree = _generator_tree(source, source.generators).T.tolist()
+    tree_jumps = _generator_tree_jumps(source, source.generators)
     for assignment in itertools.product(*candidates):
-        images = _extend_gen_images(source, tree, assignment, target)
+        images = _extend_gen_images(source, tree_jumps, assignment, target)
         if surjective and np.unique(images).size != target.order:
             continue
         if _is_multiplicative(source, target, images):

@@ -314,21 +314,29 @@ def solve(matrix: ZqMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
 
 
 def kernel(matrix: ZqMatrix) -> ZqMatrix:
-    """Rows generating ``{x : matrix @ x == 0 (mod q)}``.
+    """Rows generating ``{x : matrix @ x == 0 (mod q)}``, in Howell form.
 
     Works on the augmented block [Mᵀ | I]: in its Howell form, rows whose
     Mᵀ-block vanishes record exactly the combinations spanning the kernel
-    (the annihilator-closure property is what makes this complete over Z/p**s).
+    (the annihilator-closure property is what makes this complete over Z/p**s),
+    and they are the kernel's own Howell rows, so the output depends only on
+    the row span of M.  A tall M is first replaced by its Howell rows, at most
+    one per column, which span the same rows, so repeated rows add no
+    columns to [Mᵀ | I].
     """
     q = matrix.modulus
     nvars = matrix.cols
-    aug = np.hstack([matrix.entries.T, np.eye(nvars, dtype=np.int64)])
-    hf = howell_form(ZqMatrix(aug, q))
-    h = hf.matrix.entries
+    # The elimination takes one step per pivot column: m + n steps on [Mᵀ | I]
+    # for an m × n matrix M, against n to reduce M first and at most 2n after.
+    # A step costs more on a taller pool, so on the benchmark workloads' kernel
+    # inputs reducing first paid off from about m > 4n.
+    m = howell_form(matrix).matrix.entries if matrix.rows > 4 * nvars else matrix.entries
+    aug = np.hstack([m.T, np.eye(nvars, dtype=np.int64)])
+    h = howell_form(ZqMatrix(aug, q)).matrix.entries
     if h.shape[0] == 0:
         return ZqMatrix.identity(nvars, q)
-    zero_block = ~h[:, : matrix.rows].any(axis=1)
-    gens = h[zero_block, matrix.rows :]
+    zero_block = ~h[:, : m.shape[0]].any(axis=1)
+    gens = h[zero_block, m.shape[0] :]
     return ZqMatrix(gens.reshape(-1, nvars), q)
 
 

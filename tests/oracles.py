@@ -27,7 +27,17 @@ from qcoh.cohomology import (
     transgression,
 )
 from qcoh.freemodel import free_level3
-from qcoh.groups import _BLOCK_CELLS, FiniteGroup, GroupHom, preset, q_central_series, quotient
+from qcoh.groups import (
+    _BLOCK_CELLS,
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    _row_blocks,
+    preset,
+    q_central_series,
+    quotient,
+    subgroup_closure,
+)
 from qcoh.zqlin import AbGroupPresentation, ZqMatrix, factor_prime_power, howell_form, kernel, row_span_contains, solve
 
 
@@ -258,6 +268,36 @@ def commutator_elements(table, inverses, left, right) -> set[int]:
         for y in right:
             out.add(int(table[table[table[inverses[x], inverses[y]], x], y]))
     return out
+
+
+def commutator_subgroup_all_pairs(group, left, right):
+    """[left, right] from one commutator per pair h ∈ left, k ∈ right, scanned in
+    row blocks and then closed: the all-pairs route ``commutator_subgroup`` took
+    before it worked from generators."""
+    t = group.table
+    h = np.array(left.members, dtype=np.int64)
+    k = np.array(right.members, dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    # [h,k] = (h⁻¹k⁻¹)(hk); row i, column j pairs h_i with k_j in both factors
+    inv_part = _row_blocks(t, group.inverses[h], group.inverses[k])
+    for hk, hk_inv in zip(_row_blocks(t, h, k), inv_part):
+        seen[t[hk_inv, hk]] = True
+    return subgroup_closure(group, np.flatnonzero(seen))
+
+
+def center_loop(group):
+    """Z(G) by comparing each row of the table with its column."""
+    members = [x for x in group.elements() if np.array_equal(group.table[x], group.table[:, x])]
+    return Subgroup(group, tuple(members))
+
+
+def extend_gen_images_edge_loop(source, tree, assignment, target) -> np.ndarray:
+    """Generator images extended one (element, parent, position) tree row at a time."""
+    images = np.full(source.order, -1, dtype=np.int64)
+    images[source.identity] = target.identity
+    for elem, parent, pos in np.asarray(tree).T.tolist():
+        images[elem] = target.table[images[parent], assignment[pos]]
+    return images
 
 
 def is_multiplicative_all_pairs(source, target, images) -> bool:

@@ -401,15 +401,98 @@ def _preset_id(spec):
     return "-".join([name, *map(str, params)])
 
 
+def _permutation_group(perms: list, name: str) -> FiniteGroup:
+    """The group of the given permutations of range(k) under composition."""
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+    return FiniteGroup.from_table(table, name=name)
+
+
+def _symmetric4() -> FiniteGroup:
+    return _permutation_group(list(itertools.permutations(range(4))), "S4")
+
+
+def _commutator_corpus():
+    """(name, group, left, right): every bracket the q-central series, its
+    level-3 refinement and the derived series take on presets up to order 64
+    (the brackets of term(2) are the refinement's), two model groups and S4,
+    and brackets of cyclic subgroups (most of them not normal) with each
+    other and with G.  In S4 the seeds [h, y] of some of those brackets do not
+    close to a subgroup normalized by every y, so there the conjugation rounds
+    are needed."""
+    groups_ = [preset(*spec) for spec in POOL_PRESETS]
+    groups_ += [
+        preset("direct_product", [("dihedral4",), ("cyclic", [2])]),
+        preset("direct_product", [("quaternion8",), ("cyclic", [4])]),
+        preset("direct_product", [("heisenberg", [3]), ("cyclic", [2])]),
+        preset("elementary_abelian", [2, 6]),
+        preset("cyclic", [64]),
+        free_level3(2, 2).group,
+        free_level3(2, 3).group,
+        _symmetric4(),
+    ]
+    out = []
+    for g in groups_:
+        G = whole_group(g)
+        q = min(int(o) for o in element_orders(g) if o > 1) if g.order > 1 else 2
+        out.append((f"{g.name} [G,G]", g, G, G))
+        for i, term in enumerate(q_central_series(g, q).terms[1:], start=2):
+            out.append((f"{g.name} [term({i}),G]", g, term, G))
+            out.append((f"{g.name} [G,term({i})]", g, G, term))
+        d = commutator_subgroup(g, G, G)
+        while not d.is_trivial():
+            out.append((f"{g.name} [D,D] at order {d.order}", g, d, d))
+            d = commutator_subgroup(g, d, d)
+    for g in (preset("dihedral4"), preset("quaternion8"), preset("heisenberg", [3]), _symmetric4()):
+        subs = {subgroup_closure(g, [x]).members: subgroup_closure(g, [x]) for x in g.elements()}
+        subs[None] = whole_group(g)
+        for (a, left), (b, right) in itertools.product(subs.items(), repeat=2):
+            out.append((f"{g.name} [{a or 'G'},{b or 'G'}]", g, left, right))
+    sharp = free_level3(2, 5).group
+    G = whole_group(sharp)
+    out.append(("sharp(2,5) [G,G]", sharp, G, G))
+    out.append(("sharp(2,5) [term(2),G]", sharp, q_central_series(sharp, 5).term(2), G))
+    return out
+
+
+def test_commutator_subgroup_matches_all_pairs_oracle():
+    """The generator route with its normal-closure certificate equals the
+    all-pairs scan on every bracket of the corpus.  Explicit raises, so it
+    also checks under ``python -O``."""
+    corpus = _commutator_corpus()
+    d4 = preset("dihedral4")
+    s, rs = (subgroup_closure(d4, [x]) for x in (d4.generators[1], d4.mul(*d4.generators)))
+    corpus.append(("D4 [<s>,<rs>]", d4, s, rs))
+    if s.is_normal() or rs.is_normal():
+        raise AssertionError("the D4 reflections must generate non-normal subgroups")
+    for name, g, left, right in corpus:
+        got = commutator_subgroup(g, left, right)
+        want = oracles.commutator_subgroup_all_pairs(g, left, right)
+        if got.members != want.members:
+            raise AssertionError(f"{name}: order {got.order}, the all-pairs oracle gives {want.order}")
+    if commutator_subgroup(d4, s, rs).order != 2:
+        raise AssertionError("[<s>, <rs>] in D4 is the centre <r^2>")
+
+
+@pytest.mark.parametrize("src", POOL_PRESETS + [("direct_product", [("dihedral4",), ("cyclic", [4])])], ids=_preset_id)
+def test_center_matches_row_loop_oracle(src):
+    g = preset(*src)
+    if center(g).members != oracles.center_loop(g).members:
+        raise AssertionError(f"centre of {g.name}: {center(g).members} != {oracles.center_loop(g).members}")
+
+
 @pytest.mark.parametrize("src", POOL_PRESETS, ids=_preset_id)
 def test_is_multiplicative_matches_all_pairs_oracle(src):
     g = preset(*src)
-    tree = groups._bfs_tree(g.table, g.identity, g.generators)
+    tree_jumps = groups._generator_tree_jumps(g, g.generators)
     for tgt in SMALL_TARGETS:
         b = preset(*tgt)
         verdicts = set()
         for assignment in itertools.product(range(b.order), repeat=len(g.generators)):
-            images = groups._extend_gen_images(g, tree, assignment, b)
+            images = groups._extend_gen_images(g, tree_jumps, assignment, b)
+            np.testing.assert_array_equal(
+                images, oracles.extend_gen_images_edge_loop(g, tree_jumps[0], assignment, b)
+            )
             fast = groups._is_multiplicative(g, b, images)
             if fast != oracles.is_multiplicative_all_pairs(g, b, images):
                 raise AssertionError(f"{g.name} -> {b.name} at {assignment}: generator check says {fast}")
@@ -443,11 +526,11 @@ def test_fault_swapped_images_raise_in_grouphom(h27):
     """A map built correctly along the BFS tree, then with two images swapped."""
     data = quotient(h27, center(h27))
     gens = h27.generators
-    tree = groups._bfs_tree(h27.table, h27.identity, gens)
-    images = groups._extend_gen_images(h27, tree, [data.projection(s) for s in gens], data.quotient)
+    tree_jumps = groups._generator_tree_jumps(h27, gens)
+    images = groups._extend_gen_images(h27, tree_jumps, [data.projection(s) for s in gens], data.quotient)
     np.testing.assert_array_equal(images, data.projection.images)
     # the last two elements the tree reaches with different images
-    last = [elem for elem, _, _ in tree][::-1]
+    last = tree_jumps[0][0].tolist()[::-1]
     x = last[0]
     y = next(z for z in last if images[z] != images[x])
     images[[x, y]] = images[[y, x]]
@@ -497,10 +580,7 @@ def _alternating5() -> FiniteGroup:
     def even(p):
         return sum(p[a] > p[b] for a in range(5) for b in range(a + 1, 5)) % 2 == 0
 
-    perms = [p for p in itertools.permutations(range(5)) if even(p)]
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(5))] for b in perms] for a in perms]
-    return FiniteGroup.from_table(table, name="A5")
+    return _permutation_group([p for p in itertools.permutations(range(5)) if even(p)], "A5")
 
 
 def test_pc_presentation_rejects_a5():

@@ -224,7 +224,8 @@ def test_kernel_random_3x3_mod8_cardinality():
 
 
 def _differential_inputs(q):
-    """Random, empty, all-zero, tall and coboundary-shaped sparse wide matrices over Z/q."""
+    """Random, empty, all-zero, tall (some with repeated rows) and
+    coboundary-shaped sparse wide matrices over Z/q."""
     rnd = np.random.default_rng(2000 + q)
     p, _ = factor_prime_power(q)
     out = [np.zeros((0, 4)), np.zeros((3, 0)), np.zeros((0, 0)), np.zeros((5, 6))]
@@ -233,6 +234,10 @@ def _differential_inputs(q):
         mat = rnd.integers(0, q, size=shape) * (rnd.random(shape) < rnd.random())
         out.append(mat * p**int(rnd.integers(0, 2)))
     out.append(rnd.integers(0, q, size=(700, 8)) * p ** rnd.integers(0, 2, size=(700, 1)))
+    # tall, with repeated rows; kernel reduces those with over four rows per column first
+    for rows, distinct, cols in ((400, 9, 10), (60, 4, 3), (50, 1, 12), (30, 5, 10)):
+        base = rnd.integers(0, q, size=(distinct, cols)) * p ** rnd.integers(0, 2, size=(distinct, 1))
+        out.append(base[rnd.integers(0, distinct, size=rows)])
     g = preset("elementary_abelian", [2, 4])
     out.append(_coboundary_rows(g, q, _solver_gens(g)))
     return [ZqMatrix(np.asarray(mat, dtype=np.int64), q) for mat in out]
