@@ -24,6 +24,7 @@ from .duality import (
     Reconstruction,
     dual_basis_check,
     duality_conditions,
+    galois_relation_type,
     inflation_kernel_symbolic,
     level2_frame,
     local_global_check,
@@ -36,6 +37,7 @@ from .duality import (
     NotFreeLevel2,
     _identify_small,
 )
+from .errors import VerificationError
 from .freemodel import canonical_basis, free_level3, normal_form_roundtrip
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -311,29 +313,41 @@ def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     except ValueError as exc:
         raise UsageError(str(exc))
     report = Report(tuple(argv), q=args.p)
+    start = time.perf_counter()
     try:
-        rep = lower3_intersection_check(group, args.p)
+        grt = galois_relation_type(group, args.p)
     except ValueError as exc:
         for name in ("relation-type", "intersection-equals-refined3"):
             report.add(name, SKIPPED, str(exc))
         return report
-    grt = rep.relation_type
+    split = time.perf_counter()
     report.add(
         "relation-type",
         PASS if grt.passes else HYPOTHESIS_NOT_MET,
         f"free level-2: {grt.free_level2}, Bockstein-by-cup: {grt.bockstein_by_cup}, "
         f"kernel cup-generated: {grt.kernel_cup_generated}",
+        timing=split - start,
         machine={
             "free_level2": grt.free_level2,
             "bockstein_by_cup": grt.bockstein_by_cup,
             "kernel_cup_generated": grt.kernel_cup_generated,
         },
     )
+    # the relation type is kept on the group, so the check reuses it
+    try:
+        rep = lower3_intersection_check(group, args.p)
+    except ValueError as exc:
+        report.add("intersection-equals-refined3", SKIPPED, str(exc))
+        return report
+    except VerificationError as exc:
+        report.add("intersection-equals-refined3", FAIL, str(exc), time.perf_counter() - split, exc.evidence)
+        return report
     report.add(
         "intersection-equals-refined3",
         _theorem_d_status(rep),
         f"refined level-3 order {rep.lower3.order}, intersection order "
         f"{rep.intersection.order}, equal: {rep.equal}",
+        timing=time.perf_counter() - split,
         machine={
             "lower3_members": list(rep.lower3.members),
             "intersection_members": list(rep.intersection.members),
@@ -538,11 +552,17 @@ def _suite_theorem_d(report: Report) -> None:
         ("sharp22", free_level3(2, 2, "sharp").group, 2),
     ]
     for label, group, p in cases:
-        rep = lower3_intersection_check(group, p)
+        start = time.perf_counter()
+        try:
+            rep = lower3_intersection_check(group, p)
+        except VerificationError as exc:
+            report.add(f"theorem-d-{label}", FAIL, str(exc), time.perf_counter() - start, exc.evidence)
+            continue
         report.add(
             f"theorem-d-{label}",
             _theorem_d_status(rep),
             f"equal: {rep.equal}, relation type passes: {rep.relation_type.passes}",
+            timing=time.perf_counter() - start,
         )
 
 
@@ -593,10 +613,12 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         before = len(report.records)
         fn(report)
         elapsed = time.perf_counter() - start
-        added = len(report.records) - before
-        if added:
-            per = elapsed / added
-            for rec in report.records[before:]:
+        # what the records did not time themselves is spread over the others
+        added = report.records[before:]
+        untimed = [rec for rec in added if not rec.timing]
+        if untimed:
+            per = max(elapsed - sum(rec.timing for rec in added), 0.0) / len(untimed)
+            for rec in untimed:
                 rec.timing = per
     return report
 

@@ -11,6 +11,15 @@ lifted homomorphisms into central extensions.  The triple kinds bundled as
 (``dec-cup``), Bocksteins plus cups (``bock-cup``), and Bocksteins only
 (``bock``).
 
+The paper's structure theorem (Theorem D) compares the lower-3 subgroup
+with the meet of the kernels of all epimorphisms onto Z/p and H_{p³} (Z/2,
+Z/4 and D4 for p = 2).  No map is searched for: a pair (a, b) in H¹ lifts to
+a central target iff a∪b is a coboundary, so one kernel over the cups of an
+H¹ basis decides every pair and gives each lift's potential, and each lift
+is proven a homomorphism before its kernel is used.  The relation-type test
+that gates the theorem is linear algebra too: its Bockstein-by-cup twist is
+one affine system, and its cup-kernel test one batched reduction.
+
 Everything is verified exactly over Z/q linear algebra; no floating point.
 """
 
@@ -52,6 +61,7 @@ from .cohomology import (
     _span_equal,
     _tensor_relation_rows,
 )
+from .errors import VerificationError
 from .freemodel import FreeLevel3Model, canonical_basis, element_of, free_level3
 from .groups import (
     FiniteGroup,
@@ -73,7 +83,7 @@ from .groups import (
     trivial_subgroup,
     whole_group,
 )
-from .groups import _hom_images, _memoized
+from .groups import _hom_images, _is_multiplicative, _memoized
 from .zqlin import (
     AbGroupPresentation,
     PairingReport,
@@ -89,7 +99,8 @@ from .zqlin import (
     solve,
 )
 
-# cap on the brute-force searches (twist class, lift assignments, relations)
+# cap on the two searches left here: the q^|S| lift assignments of condition (f)
+# (checked as is) and the power products of _power_products (at 16×)
 SEARCH_CAP = 4096
 
 TRIPLE_KINDS = ("dec-cup", "bock-cup", "bock")
@@ -1058,37 +1069,88 @@ class GaloisRelationReport:
 
 
 def galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
+    """The three-part test of :class:`GaloisRelationReport`; computed once per q and kept on the group."""
+    return _memoized(group, ("relation_type", q), lambda: _galois_relation_type(group, q))
+
+
+def _galois_relation_type(group: FiniteGroup, q: int) -> GaloisRelationReport:
     try:
         frame = level2_frame(group, q)
-        free_level2 = True
     except NotFreeLevel2:
         frame = None
-        free_level2 = False
+    twist = _bockstein_cup_twist(group, q)
+    cup_generated = frame is not None and _kernel_cup_generated(group, frame)
+    return GaloisRelationReport(frame is not None, twist is not None, twist, cup_generated)
+
+
+def _cup_twists(group: FiniteGroup, q: int, chars: np.ndarray) -> np.ndarray:
+    """The cups χᵢ∪χⱼ of the rows of ``chars`` on the pairs (x, s∈S), at index i·d + j.
+
+    ``chars`` holds the values of d homomorphisms to Z/q, one row each.  A cup
+    of homomorphisms is a cocycle, so these samples are all that the pair
+    system needs, and no n × n cochain is built.
+    """
+    gens = list(_solver_gens(group))
+    d = chars.shape[0]
+    return (np.einsum("ix,js->xsij", chars, chars[:, gens]) % q).reshape(group.order, len(gens), d * d)
+
+
+def _bockstein_twists(group: FiniteGroup, q: int, chars: np.ndarray) -> np.ndarray:
+    """β(χᵢ) of the rows of ``chars`` on the pairs (x, s∈S): (χ(x) + χ(s) − χ(xs)) / q on residues."""
+    gens = list(_solver_gens(group))
+    num = chars[:, :, None] + chars[:, gens][:, None, :] - chars[:, group.table[:, gens]]
+    return np.moveaxis(num // q, 0, 2)
+
+
+def _bockstein_cup_twist(group: FiniteGroup, q: int) -> Optional[Cochain1]:
+    """A ξ in H¹ with β(χᵢ) − χᵢ∪ξ ∈ B² for every basis class χᵢ, or None.
+
+    With ξ = Σⱼ xⱼχⱼ the condition is affine in x.  Over the d + d² classes
+    β(χᵢ), χᵢ∪χⱼ, let K be the rows of the combinations in B² (one
+    ``_twist_kernel``); then e_{β(χᵢ)} − Σⱼ xⱼ·e_{χᵢ∪χⱼ} must lie in span K
+    for each i.  That is one system, Σⱼ xⱼ·e_{χᵢ∪χⱼ} + cᵢ·K = e_{β(χᵢ)} for
+    i = 1..d, in x and the coefficient rows cᵢ, and ``solve`` checks its
+    solution by substitution.
+    """
     h1s = h1(group, q)
-    if h1s.order > SEARCH_CAP:
-        raise ValueError("twist search too large")
-    twist = None
-    for xi in h1s.enumerate_elements():
-        if all(is_coboundary(bockstein(chi) - cup11(chi, xi)) is not None for chi in h1s.basis):
-            twist = xi
-            break
-    kernel_cup_generated = False
-    if frame is not None:
-        ker_classes = _inflation_kernel_classes(
-            frame.space, group, frame.data.projection.images, h2_dec(frame.space).gens
-        )
-        ker_sub = span_of_classes(frame.space, ker_classes)
-        found: list[Cochain2] = []
-        vectors = list(itertools.product(range(q), repeat=frame.d))
-        for a in vectors:
-            if not any(a):
-                continue
-            for b in vectors:
-                c = cup11(frame.char_of(a), frame.char_of(b))
-                if ker_sub.contains(c):
-                    found.append(c)
-        kernel_cup_generated = span_of_classes(frame.space, found).same_span(ker_sub)
-    return GaloisRelationReport(free_level2, twist is not None, twist, kernel_cup_generated)
+    d = len(h1s.basis)
+    if d == 0:
+        return h1s.element(())
+    chars = np.array([chi.values for chi in h1s.basis], dtype=np.int64)
+    twists = np.concatenate([_bockstein_twists(group, q, chars), _cup_twists(group, q, chars)], axis=2)
+    combos = _twist_kernel(group, q, twists)
+    width, r = d + d * d, combos.shape[0]
+    system = np.zeros((d, width, d + d * r), dtype=np.int64)
+    rhs = np.zeros((d, width), dtype=np.int64)
+    for i in range(d):
+        system[i, d + i * d : d + (i + 1) * d, :d] = np.eye(d, dtype=np.int64)
+        system[i, :, d + i * r : d + (i + 1) * r] = combos.T
+        rhs[i, i] = 1
+    sol = solve(ZqMatrix(system.reshape(d * width, -1), q), rhs.reshape(-1))
+    if sol is None:
+        return None
+    return h1s.element(sol[:d] % np.array(h1s.invariant_factors, dtype=np.int64))
+
+
+def _kernel_cup_generated(group: FiniteGroup, frame: Level2Frame) -> bool:
+    """Whether Ker(inf: H²_dec(G/T) → H²(G)) is spanned by the cups a∪b that lie in it.
+
+    A cup is bilinear, a∪b = Σ aᵢbⱼ·χᵢ∪χⱼ over the frame's characters, so
+    each pair is read in these d² cup coordinates as a⊗b.  The combinations
+    that die on G are the rows K of a ``_twist_kernel`` on G, and those that
+    are already zero on G/T the rows R of one on G/T, with R ⊆ K.  So a∪b is
+    in the kernel iff a⊗b ∈ span K, decided for every pair with a ≠ 0 in one
+    batch, and those cups span the kernel iff together with R they span K.
+    """
+    q, d, Q = frame.modulus, frame.d, frame.quotient
+    chars = frame.coords.T
+    inflated = chars[:, frame.data.projection.images]
+    on_g = howell_form(ZqMatrix(_twist_kernel(group, q, _cup_twists(group, q, inflated)), q))
+    on_q = _twist_kernel(Q, q, _cup_twists(Q, q, chars))
+    vecs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
+    pairs = np.einsum("ai,bj->abij", vecs[1:], vecs).reshape(-1, d * d) % q
+    found = pairs[~coset_reduce(on_g, pairs).any(axis=1)]
+    return row_span_size(howell_form(ZqMatrix(np.concatenate([found, on_q]), q))) == row_span_size(on_g)
 
 
 # --------------------------------------------------------------------------
@@ -1279,6 +1341,77 @@ def _epimorphism_kernel_meet(group: FiniteGroup, targets: Sequence[FiniteGroup],
     return Subgroup(group, tuple(int(x) for x in np.flatnonzero(mask)))
 
 
+def _lift_target(p: int, rank: int) -> CentralExtensionSpec:
+    """(Z/p)^rank extended by the class c₁∪c_rank of its coordinate characters cᵢ.
+
+    Rank 2 gives H_{p³} for p odd and D4 for p = 2; rank 1 at p = 2 gives
+    Z/4, since c₁∪c₁ = β(c₁) there.
+    """
+    base = preset("elementary_abelian", [p, rank])
+    digits = np.arange(base.order) // p ** np.arange(rank)[:, None] % p
+    first, last = (Cochain1(base, p, row) for row in digits[[0, -1]])
+    return extension_from_class(base, cup11(first, last))
+
+
+def _named_quotient_meet(group: FiniteGroup, p: int) -> Subgroup:
+    """⋂ Ker(π) over the epimorphisms π of ``group`` onto the Theorem D targets.
+
+    The targets are Z/p and H_{p³} for p odd, and Z/2, Z/4 and D4 for p = 2.
+    The epimorphisms onto Z/p cut out Φ(G), the common kernel of H¹.  Each
+    other target is the extension E of (Z/p)^r by c₁∪c_r (:func:`_lift_target`).
+    A surjection (a, b): G → (Z/p)², or a: G → Z/2 with b = a for Z/4, lifts
+    to E iff a∪b = ∂u (Hoechsmann 1968); ψ = (−u, a, b) is then onto by
+    Burnside's basis theorem, and the other lifts ψ + χ, χ ∈ H¹, meet Φ(G)
+    in the same Φ(G) ∩ Ker ψ.  For p odd one basis (a, b) per plane of H¹ is
+    enough: Aut(H_{p³}) induces GL₂(p) on the Frattini quotient, and a change
+    of basis scales the class by its determinant.  For p = 2, where a∪a = β(a)
+    need not vanish, every ordered pair is tried.
+
+    All pairs are decided, and their potentials found, in one batch.  The
+    kernel rows [y | U] of the pair system of the d² cups χᵢ∪χⱼ (combination
+    first, generator values of the potential after) reduce [a⊗b | 0] to
+    [0 | U′] exactly when a∪b = ∂u, and U′ is then u on the generators.  Each
+    lift is proven a homomorphism by ``_is_multiplicative``, and onto by its
+    image, before its kernel enters the mask.
+    """
+    n = group.order
+    chars = np.array([chi.values for chi in h1(group, p).basis], dtype=np.int64).reshape(-1, n)
+    d = chars.shape[0]
+    if d == 0:
+        return whole_group(group)
+    mask = ~chars.any(axis=0)
+    vecs = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)[1:]
+    leads = (vecs != 0).argmax(axis=1)
+    monic = vecs[np.arange(len(vecs)), leads] == 1
+    lines, leads = vecs[monic], leads[monic]
+    twists = _cup_twists(group, p, chars)
+    coeff, const, gens = _affine_propagation(group, p, twists)
+    system = _pair_system(group, p, coeff, const, gens, twists)
+    potentials = howell_form(kernel(ZqMatrix(np.roll(system, -len(gens), axis=1), p)))
+    targets: dict[int, CentralExtensionSpec] = {}
+    for a, lead in zip(lines, leads):
+        # p odd: the other row of the plane's reduced echelon basis
+        betas = lines if p == 2 else lines[(leads > lead) & (a[leads] == 0)]
+        combos = (a[None, :, None] * betas[:, None, :]).reshape(-1, d * d)
+        reduced = coset_reduce(potentials, np.pad(combos, ((0, 0), (0, len(gens)))))
+        liftable = ~reduced[:, : d * d].any(axis=1)
+        for b, combo, gen_values in zip(betas[liftable], combos[liftable], reduced[liftable, d * d :]):
+            rank = 1 if np.array_equal(a, b) else 2
+            if rank not in targets:
+                targets[rank] = _lift_target(p, rank)
+            ext = targets[rank]
+            u = (coeff @ gen_values + const @ combo) % p
+            base = (a @ chars) % p + (p * ((b @ chars) % p) if rank == 2 else 0)
+            images = (-u % p) * ext.base.order + base
+            if not _is_multiplicative(group, ext.total, images) or np.unique(images).size != ext.total.order:
+                raise VerificationError(
+                    "a potential lift is not an epimorphism",
+                    {"alpha": a.tolist(), "beta": b.tolist()},
+                )
+            mask &= images == ext.total.identity
+    return Subgroup(group, tuple(int(x) for x in np.flatnonzero(mask)))
+
+
 @dataclass(frozen=True, eq=False)
 class Lower3Report:
     lower3: Subgroup
@@ -1291,24 +1424,21 @@ def lower3_intersection_check(group: FiniteGroup, p: int) -> Lower3Report:
     """Compare the lower-3 subgroup with the named-quotient intersection.
 
     For p odd the targets are Z/p and the exponent-p extraspecial group of
-    order p³; for p = 2 they are Z/2, Z/4 and the dihedral group of order 8.
-    Equality is asserted when the relation-type test passes, and only
-    reported otherwise.
+    order p³; for p = 2 they are Z/2, Z/4 and the dihedral group of order 8
+    (see :func:`_named_quotient_meet`).  Equality is verified when the
+    relation-type test passes, and only reported otherwise.
     """
     if p != factor_prime_power(p)[0]:
         raise ValueError("intersection lists need a prime modulus")
     grt = galois_relation_type(group, p)
     low = lower3_subgroup(group, p)
-    if p == 2:
-        targets = [preset("cyclic", [2]), preset("cyclic", [4]), preset("dihedral4")]
-    else:
-        targets = [preset("cyclic", [p]), preset("heisenberg", [p])]
-    inter = _epimorphism_kernel_meet(group, targets, np.ones(group.order, dtype=bool))
+    inter = _named_quotient_meet(group, p)
     equal = inter.same_as(low)
     if grt.passes and not equal:
-        raise AssertionError(
+        raise VerificationError(
             f"relation type passes but the intersection misses the lower-3 subgroup: "
-            f"{low.members} vs {inter.members}"
+            f"{low.members} vs {inter.members}",
+            {"lower3_members": list(low.members), "intersection_members": list(inter.members), "equal": False},
         )
     return Lower3Report(low, inter, equal, grt)
 

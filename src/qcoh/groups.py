@@ -42,7 +42,8 @@ import numpy as np
 
 #: Hard cap on group orders; everything here is desk scale by design.
 DEFAULT_MAX_ORDER = 4096
-#: Cap on homomorphism-enumeration targets.
+#: Cap on the targets of enumerate_homs; in the library only
+#: duality.floor_by_intersection enumerates, onto its extension list.
 HOM_TARGET_LIMIT = 512
 #: Cap on isomorphism testing.
 ISO_LIMIT = 512

@@ -20,19 +20,26 @@ from qcoh.cohomology import (
     bockstein,
     class_from_extension,
     cup11,
+    h1,
     h2,
+    h2_dec,
     inflation2,
     invariants_h1,
     is_coboundary,
+    span_of_classes,
     transgression,
 )
+from qcoh.duality import _inflation_kernel_classes, level2_frame
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
     _BLOCK_CELLS,
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _hom_images,
     _row_blocks,
+    element_orders,
+    enumerate_homs,
     preset,
     q_central_series,
     quotient,
@@ -548,6 +555,80 @@ def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:
     stacked = np.concatenate([rows, cob], axis=0)
     combos = kernel(ZqMatrix(stacked.T, q)).entries
     return combos[:, :k] % q
+
+
+def twist_search(group, q: int):
+    """The first ξ in H¹, in coordinate order, with β(χ) − χ∪ξ ∈ B² for every basis χ; else None.
+
+    The reference route for the Bockstein-by-cup part of the relation type:
+    every ξ is tried, each with one full ``is_coboundary`` solve per basis
+    class, on n × n cochains.
+    """
+    h1s = h1(group, q)
+    for xi in h1s.enumerate_elements():
+        if all(is_coboundary(bockstein(chi) - cup11(chi, xi)) is not None for chi in h1s.basis):
+            return xi
+    return None
+
+
+def kernel_cup_generated_pair_loop(group, q: int) -> bool:
+    """Whether Ker(inf: H²_dec(G/T) → H²(G)) is spanned by the cups it contains, pair by pair.
+
+    The reference route for the last part of the relation type: a cup
+    cochain on G/T and one span test for each of the q^{2d} pairs (a, b).
+    """
+    frame = level2_frame(group, q)
+    ker_classes = _inflation_kernel_classes(
+        frame.space, group, frame.data.projection.images, h2_dec(frame.space).gens
+    )
+    ker_sub = span_of_classes(frame.space, ker_classes)
+    found = []
+    vectors = list(itertools.product(range(q), repeat=frame.d))
+    for a in vectors:
+        if not any(a):
+            continue
+        for b in vectors:
+            c = cup11(frame.char_of(a), frame.char_of(b))
+            if ker_sub.contains(c):
+                found.append(c)
+    return span_of_classes(frame.space, found).same_span(ker_sub)
+
+
+def theorem_d_targets(p: int):
+    """Z/p and H_{p³} for p odd; Z/2, Z/4 and D4 for p = 2."""
+    if p == 2:
+        return [preset("cyclic", [2]), preset("cyclic", [4]), preset("dihedral4")]
+    return [preset("cyclic", [p]), preset("heisenberg", [p])]
+
+
+def epimorphism_kernel_meet_by_orbits(group, targets, mask):
+    """``duality._epimorphism_kernel_meet`` with the first two generator images cut to orbits.
+
+    π and α∘π have the same kernel for every automorphism α of the target.
+    So the first generator need only try one image x per orbit of Aut(target),
+    and the second one image per orbit of the stabilizer of x; the other
+    generators try every target element of a dividing order, as in
+    ``enumerate_homs``.  The same search, made shorter.
+    """
+    mask = mask.copy()
+    src_orders = element_orders(group)
+
+    def orbit_reps(autos):
+        # autos holds the identity, so the orbits cover every element
+        return {min(int(a[x]) for a in autos) for x in range(len(autos[0]))}
+
+    for tgt in targets:
+        autos = [hom.images for hom in enumerate_homs(tgt, tgt, surjective_only=True)]
+        tgt_orders = element_orders(tgt)
+        candidates = [np.flatnonzero(src_orders[g] % tgt_orders == 0).tolist() for g in group.generators]
+        for first in sorted(orbit_reps(autos) & set(candidates[0])):
+            rest = candidates[1:]
+            if rest:
+                fixing = orbit_reps([a for a in autos if a[first] == first])
+                rest = [[x for x in rest[0] if x in fixing], *rest[1:]]
+            for images in _hom_images(group, tgt, [[first], *rest], surjective=True):
+                mask &= images == tgt.identity
+    return Subgroup(group, tuple(int(x) for x in np.flatnonzero(mask)))
 
 
 def zero2(group, q: int) -> Cochain2:

@@ -11,12 +11,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import qcoh.cli as cli_mod
+import qcoh.duality as duality_mod
 from qcoh.cli import main
-from qcoh.groups import is_isomorphic, preset, FiniteGroup
+from qcoh.groups import is_isomorphic, preset, whole_group, FiniteGroup
 from qcoh.report import (
     FAIL,
     HYPOTHESIS_NOT_MET,
@@ -321,6 +324,55 @@ def test_cli_theorem_d_hypothesis_not_met(capsys):
     code, out = _run(capsys, "theorem-d", "--preset", "quaternion8", "--p", "2")
     assert code == 3
     assert "HYPOTHESIS-NOT-MET" in out
+
+
+def test_cli_theorem_d_times_each_record(capsys):
+    code, out = _run(capsys, "theorem-d", "--preset", "heisenberg", "--params", "3", "--p", "3",
+                     "--format", "json")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"relation-type", "intersection-equals-refined3"}
+    assert all(t > 0 for t in timings.values())
+
+
+def test_fault_theorem_d_meet_mismatch_is_a_fail_record(capsys, monkeypatch):
+    """A meet that misses the lower-3 subgroup reads as FAIL records with both member lists, exit 1.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    monkeypatch.setattr(duality_mod, "_named_quotient_meet", lambda group, p: whole_group(group))
+    code, out = _run(capsys, "theorem-d", "--preset", "cyclic", "--params", "16", "--p", "2",
+                     "--format", "json")
+    data = json.loads(out)
+    statuses = {r["name"]: r["status"] for r in data["checks"]}
+    evidence = data["machine"]["intersection-equals-refined3"]
+    if code != 1 or statuses != {"relation-type": PASS, "intersection-equals-refined3": FAIL}:
+        raise AssertionError(f"exit {code}, records {statuses}")
+    if evidence["lower3_members"] != [0, 4, 8, 12] or evidence["intersection_members"] != list(range(16)):
+        raise AssertionError(f"evidence {evidence}")
+
+    code, out = _run(capsys, "verify", "theorem-d", "--format", "json")
+    data = json.loads(out)
+    failed = [r["name"] for r in data["checks"] if r["status"] == FAIL]
+    if code != 1 or "theorem-d-cyclic16" not in failed:
+        raise AssertionError(f"exit {code}, failed {failed}")
+    if any(set(data["machine"][name]) != {"lower3_members", "intersection_members", "equal"} for name in failed):
+        raise AssertionError(f"failed records without both member lists: {data['machine']}")
+
+
+def test_cli_verify_spreads_only_untimed_records(capsys, monkeypatch):
+    def suite(report):
+        time.sleep(0.05)
+        report.add("timed", PASS, "", timing=0.01)
+        report.add("untimed-a", PASS, "")
+        report.add("untimed-b", PASS, "")
+
+    monkeypatch.setitem(cli_mod._SUITES, "fake", (suite,))
+    code, out = _run(capsys, "verify", "fake", "--format", "json")
+    timings = json.loads(out)["timings"]
+    assert code == 0
+    assert timings["timed"] == 0.01
+    assert timings["untimed-a"] == timings["untimed-b"] >= 0.02
 
 
 def test_cli_reconstruct(capsys):

@@ -61,10 +61,14 @@ from qcoh.duality import (
     triple_of,
     TRIPLE_KINDS,
 )
+from qcoh.errors import VerificationError
 from qcoh.freemodel import free_level3
 from qcoh.groups import (
+    FiniteGroup,
     Subgroup,
+    center,
     commutator_subgroup,
+    direct_product,
     is_isomorphic,
     normal_subgroups_within,
     power_subgroup,
@@ -76,7 +80,7 @@ from qcoh.groups import (
     trivial_subgroup,
     whole_group,
 )
-from qcoh.zqlin import ZqMatrix, howell_form
+from qcoh.zqlin import ZqMatrix, factor_prime_power, howell_form
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +485,11 @@ FLOOR_ORACLE_CASES = POOL + [
 def _case_group(name, params):
     if name in ("sharp", "flat"):
         return free_level3(*params, name).group
+    if name == "redundant":
+        # one more generator, the first times the last, so the set is not minimal
+        g = _case_group(*params)
+        gens = list(g.generators)
+        return FiniteGroup.from_table(g.table, generators=gens + [int(g.table[gens[0], gens[-1]])])
     return _group(name, params)
 
 
@@ -981,6 +990,7 @@ def test_floor_by_intersection_sharp22():
         ("heisenberg3", ("heisenberg", [3]), 3, True, False),
         ("modular3", ("modular", [3]), 3, True, False),
         ("el33", ("elementary_abelian", [3, 2]), 3, True, False),
+        ("trivial", ("cyclic", [1]), 2, True, False),
     ],
 )
 def test_lower3_intersection_table(label, args, p, expect_equal, expect_grt):
@@ -1012,6 +1022,152 @@ def test_lower3_intersection_sharp_models():
 def test_lower3_intersection_rejects_prime_powers():
     with pytest.raises(ValueError):
         lower3_intersection_check(preset("cyclic", [4]), 4)
+
+
+def test_lower3_intersection_sharp25():
+    """sharp(2,5), |G| = 3125, meets the paper's structure theorem at the order cap's edge."""
+    rep = lower3_intersection_check(free_level3(2, 5).group, 5)
+    assert rep.relation_type.passes
+    assert rep.equal and rep.lower3.order == 25
+
+
+def _extraspecial81():
+    """3^{1+4}: two heisenberg(3) with their centres identified, |G| = 243."""
+    h = preset("heisenberg", [3])
+    z = h.commutator(*h.generators[:2])
+    hh = direct_product(h, h)
+    return quotient(hh, subgroup_closure(hh, [z * h.order + int(h.inverses[z])])).quotient
+
+
+def test_extraspecial81_meet_is_the_centre_above_a_trivial_lower3():
+    """A negative control: 3^{1+4} has no epimorphism onto H_27, so the meet is Φ(G) = Z(G).
+
+    Its lower-3 subgroup is trivial, so the equality fails, as it may: the
+    relation type fails.  H2_CAP still stops that test on G/T = (Z/3)⁴, so the
+    meet is checked on its own.
+    """
+    g = _extraspecial81()
+    meet = duality_mod._named_quotient_meet(g, 3)
+    assert meet.order == 3 and meet.same_as(center(g))
+    assert lower3_subgroup(g, 3).order == 1
+    with pytest.raises(ValueError, match="exceeds the H² solver cap 64"):
+        lower3_intersection_check(g, 3)
+
+
+# POOL at its primes and the free models up to order 512, for Theorem D
+THEOREM_D_CASES = [(label, args, factor_prime_power(q)[0]) for label, args, q in POOL] + [
+    ("sharp22", ("sharp", [2, 2]), 2),
+    ("flat22", ("flat", [2, 2]), 2),
+    ("sharp23", ("sharp", [2, 3]), 3),
+    ("flat23", ("flat", [2, 3]), 3),
+    ("sharp32", ("sharp", [3, 2]), 2),
+    # with a redundant generator the potential's generator values matter
+    ("cyclic16-redundant", ("redundant", ("cyclic", [16])), 2),
+    ("dihedral4-redundant", ("redundant", ("dihedral4", None)), 2),
+    ("sharp23-redundant", ("redundant", ("sharp", [2, 3])), 3),
+]
+
+
+@pytest.mark.parametrize("label,args,p", THEOREM_D_CASES + [("extraspecial81", None, 3)])
+def test_named_quotient_meet_matches_epimorphism_search_oracle(label, args, p):
+    """The meet by coboundary potentials is the meet over the epimorphisms a search finds.
+
+    The search cut to Aut(target) orbits runs everywhere; the full search of
+    ``_epimorphism_kernel_meet`` runs too, and must agree with it, except on
+    3^{1+4}, where onto H_27 it takes about 25 s.  Checked with explicit
+    raises so the comparison also runs under ``python -O``.
+    """
+    g = _extraspecial81() if args is None else _case_group(*args)
+    targets = oracles.theorem_d_targets(p)
+    everything = np.ones(g.order, dtype=bool)
+    searched = oracles.epimorphism_kernel_meet_by_orbits(g, targets, everything)
+    if args is not None and not duality_mod._epimorphism_kernel_meet(g, targets, everything).same_as(searched):
+        raise AssertionError(f"{label}: the orbit cut changed the searched meet")
+    meet = duality_mod._named_quotient_meet(g, p)
+    if meet.members != searched.members:
+        raise AssertionError(f"{label}: {meet.members} vs searched {searched.members}")
+
+
+@pytest.mark.parametrize(
+    "label,args,p",
+    [c for c in THEOREM_D_CASES if c[0] in ("cyclic16-q4", "dihedral4", "sharp23", "sharp32", "sharp23-redundant")],
+)
+def test_named_quotient_meet_masks_only_proven_lifts(label, args, p, monkeypatch):
+    """The meet is Φ(G) ∩ the kernels of lifts that ``_is_multiplicative`` proved, and no other."""
+    g = _case_group(*args)
+    real = duality_mod._is_multiplicative
+    checked = []
+
+    def recorded(source, target, images):
+        ok = real(source, target, images)
+        checked.append((ok, images == target.identity))
+        return ok
+
+    monkeypatch.setattr(duality_mod, "_is_multiplicative", recorded)
+    meet = duality_mod._named_quotient_meet(g, p)
+    frattini = ~np.array([chi.values for chi in h1(g, p).basis]).any(axis=0)
+    expected = np.logical_and.reduce([frattini] + [kernel for _, kernel in checked])
+    if not checked or not all(ok for ok, _ in checked):
+        raise AssertionError(f"{label}: {len(checked)} lifts, proven: {[ok for ok, _ in checked]}")
+    if not np.array_equal(meet.mask, expected):
+        raise AssertionError(f"{label}: the mask holds more than the proven kernels")
+
+
+def test_fault_unproven_lift_raises_verification_error(monkeypatch):
+    """A lift that fails its multiplicativity proof raises, also under ``python -O``."""
+    monkeypatch.setattr(duality_mod, "_is_multiplicative", lambda source, target, images: False)
+    with pytest.raises(VerificationError) as info:
+        duality_mod._named_quotient_meet(preset("dihedral4"), 2)
+    if set(info.value.evidence) != {"alpha", "beta"}:
+        raise AssertionError(f"evidence {info.value.evidence}")
+
+
+def test_fault_meet_mismatch_raises_verification_error(monkeypatch):
+    """A meet that misses the lower-3 subgroup under a passing relation type raises, with both member lists."""
+    monkeypatch.setattr(duality_mod, "_named_quotient_meet", lambda group, p: whole_group(group))
+    with pytest.raises(VerificationError) as info:
+        lower3_intersection_check(preset("cyclic", [16]), 2)
+    evidence = info.value.evidence
+    if evidence["lower3_members"] != [0, 4, 8, 12] or evidence["intersection_members"] != list(range(16)):
+        raise AssertionError(f"evidence {evidence}")
+
+
+RELATION_CASES = POOL + [
+    ("sharp22", ("sharp", [2, 2]), 2),
+    ("flat22", ("flat", [2, 2]), 2),
+    ("sharp23", ("sharp", [2, 3]), 3),
+    ("flat23", ("flat", [2, 3]), 3),
+    ("sharp32", ("sharp", [3, 2]), 2),
+]
+
+
+@pytest.mark.parametrize("label,args,q", RELATION_CASES)
+def test_relation_type_matches_twist_and_pair_loop_oracle(label, args, q):
+    """The twist and cup-kernel tests as linear systems agree with the loops over ξ and over pairs.
+
+    A twist found is also checked the loop's way, one ``is_coboundary`` per
+    basis class.  Checked with explicit raises so the comparison also runs
+    under ``python -O``.
+    """
+    g = _case_group(*args)
+    rep = galois_relation_type(g, q)
+    searched = oracles.twist_search(g, q)
+    if rep.bockstein_by_cup != (searched is not None):
+        raise AssertionError(f"{label}: twist {rep.bockstein_by_cup}, search {searched is not None}")
+    if rep.twist is not None and not all(
+        is_coboundary(bockstein(chi) - cup11(chi, rep.twist)) is not None for chi in h1(g, q).basis
+    ):
+        raise AssertionError(f"{label}: the twist found does not twist every Bockstein into a cup")
+    cup_generated = rep.free_level2 and oracles.kernel_cup_generated_pair_loop(g, q)
+    if rep.kernel_cup_generated != cup_generated:
+        raise AssertionError(f"{label}: kernel cup-generated {rep.kernel_cup_generated}, pair loop {cup_generated}")
+
+
+def test_bockstein_cup_twist_of_extraspecial81_matches_twist_loop_oracle():
+    """On 3^{1+4}, above H2_CAP for the rest of the relation type, no ξ twists β into cups, by both routes."""
+    g = _extraspecial81()
+    if duality_mod._bockstein_cup_twist(g, 3) is not None or oracles.twist_search(g, 3) is not None:
+        raise AssertionError("3^{1+4} has a Bockstein-by-cup twist")
 
 
 # ---------------------------------------------------------------------------
