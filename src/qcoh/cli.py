@@ -290,6 +290,11 @@ def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         for name in names:
             report.add(name, SKIPPED, str(exc), timing=elapsed / 6)
         return report
+    except VerificationError as exc:
+        elapsed = time.perf_counter() - start
+        for name in names:
+            report.add(name, FAIL, str(exc), elapsed / 6, exc.evidence)
+        return report
     elapsed = time.perf_counter() - start
     for name, verdict in zip(names, rep.as_tuple()):
         report.add(name, PASS if verdict else FAIL, str(verdict), timing=elapsed / 6)
@@ -455,7 +460,31 @@ def cmd_free_model(args: argparse.Namespace, argv: Sequence[str]) -> Report:
 # verify suites
 
 
-def _suite_linalg(report: Report) -> None:
+# the groups of the duality, theorem-d and reconstruction suites, by name
+_VERIFY_GROUPS = {
+    "dihedral4": lambda: preset("dihedral4"),
+    "quaternion8": lambda: preset("quaternion8"),
+    "cyclic4": lambda: preset("cyclic", [4]),
+    "cyclic16": lambda: preset("cyclic", [16]),
+    "heisenberg3": lambda: preset("heisenberg", [3]),
+    "modular3": lambda: preset("modular", [3]),
+    "el33": lambda: preset("elementary_abelian", [3, 2]),
+    "sharp22": lambda: free_level3(2, 2, "sharp").group,
+    "sharp23": lambda: free_level3(2, 3, "sharp").group,
+    "flat23": lambda: free_level3(2, 3, "flat").group,
+}
+
+
+class _GroupTable(dict):
+    """The verify groups of one run by name, each built on first use, so the
+    suites share each group and the facts kept on it."""
+
+    def __missing__(self, name: str) -> FiniteGroup:
+        self[name] = group = _VERIFY_GROUPS[name]()
+        return group
+
+
+def _suite_linalg(report: Report, groups: _GroupTable) -> None:
     rng = np.random.default_rng(20260816)
     bad = 0
     total = 0
@@ -487,7 +516,7 @@ def _suite_linalg(report: Report) -> None:
     )
 
 
-def _suite_dual_basis(report: Report) -> None:
+def _suite_dual_basis(report: Report, groups: _GroupTable) -> None:
     for d, q in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2)):
         rep = dual_basis_check(d, q)
         ok = rep.identity and rep.formulas_match
@@ -498,7 +527,7 @@ def _suite_dual_basis(report: Report) -> None:
         )
 
 
-def _suite_local_global(report: Report) -> None:
+def _suite_local_global(report: Report, groups: _GroupTable) -> None:
     for d, q in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4)):
         rep = local_global_check(d, q)
         ok = rep.matches and rep.coefficient_route
@@ -509,27 +538,29 @@ def _suite_local_global(report: Report) -> None:
         )
 
 
-def _verify_groups() -> list[tuple[str, FiniteGroup, int]]:
-    return [
-        ("dihedral4", preset("dihedral4"), 2),
-        ("quaternion8", preset("quaternion8"), 2),
-        ("cyclic4", preset("cyclic", [4]), 2),
-        ("cyclic16-q4", preset("cyclic", [16]), 4),
-        ("heisenberg3", preset("heisenberg", [3]), 3),
-        ("modular3", preset("modular", [3]), 3),
-        ("sharp22", free_level3(2, 2, "sharp").group, 2),
-        ("sharp23", free_level3(2, 3, "sharp").group, 3),
-        ("flat23", free_level3(2, 3, "flat").group, 3),
+def _suite_duality(report: Report, groups: _GroupTable) -> None:
+    cases = [
+        ("dihedral4", "dihedral4", 2),
+        ("quaternion8", "quaternion8", 2),
+        ("cyclic4", "cyclic4", 2),
+        ("cyclic16-q4", "cyclic16", 4),
+        ("heisenberg3", "heisenberg3", 3),
+        ("modular3", "modular3", 3),
+        ("sharp22", "sharp22", 2),
+        ("sharp23", "sharp23", 3),
+        ("flat23", "flat23", 3),
     ]
-
-
-def _suite_duality(report: Report) -> None:
-    for label, group, q in _verify_groups():
+    for label, name, q in cases:
+        group = groups[name]
         for kind in TRIPLE_KINDS:
             tri = triple_of(kind)
-            rep = duality_conditions(
-                group, q, tri.top(group, q), tri.floor(group, q), tri.alpha_image
-            )
+            try:
+                rep = duality_conditions(
+                    group, q, tri.top(group, q), tri.floor(group, q), tri.alpha_image
+                )
+            except VerificationError as exc:
+                report.add(f"duality-{label}-{kind}", FAIL, str(exc), machine=exc.evidence)
+                continue
             ok = rep.as_tuple() == (True,) * 6
             report.add(
                 f"duality-{label}-{kind}",
@@ -538,23 +569,23 @@ def _suite_duality(report: Report) -> None:
             )
 
 
-def _suite_theorem_d(report: Report) -> None:
+def _suite_theorem_d(report: Report, groups: _GroupTable) -> None:
     cases = [
-        ("heisenberg3", preset("heisenberg", [3]), 3),
-        ("modular3", preset("modular", [3]), 3),
-        ("el33", preset("elementary_abelian", [3, 2]), 3),
-        ("flat23", free_level3(2, 3, "flat").group, 3),
-        ("sharp23", free_level3(2, 3, "sharp").group, 3),
-        ("cyclic4", preset("cyclic", [4]), 2),
-        ("cyclic16", preset("cyclic", [16]), 2),
-        ("dihedral4", preset("dihedral4"), 2),
-        ("quaternion8", preset("quaternion8"), 2),
-        ("sharp22", free_level3(2, 2, "sharp").group, 2),
+        ("heisenberg3", 3),
+        ("modular3", 3),
+        ("el33", 3),
+        ("flat23", 3),
+        ("sharp23", 3),
+        ("cyclic4", 2),
+        ("cyclic16", 2),
+        ("dihedral4", 2),
+        ("quaternion8", 2),
+        ("sharp22", 2),
     ]
-    for label, group, p in cases:
+    for label, p in cases:
         start = time.perf_counter()
         try:
-            rep = lower3_intersection_check(group, p)
+            rep = lower3_intersection_check(groups[label], p)
         except VerificationError as exc:
             report.add(f"theorem-d-{label}", FAIL, str(exc), time.perf_counter() - start, exc.evidence)
             continue
@@ -566,18 +597,18 @@ def _suite_theorem_d(report: Report) -> None:
         )
 
 
-def _suite_reconstruction(report: Report) -> None:
+def _suite_reconstruction(report: Report, groups: _GroupTable) -> None:
     cases = [
-        ("heisenberg3", preset("heisenberg", [3]), 3),
-        ("modular3", preset("modular", [3]), 3),
-        ("el33", preset("elementary_abelian", [3, 2]), 3),
-        ("dihedral4", preset("dihedral4"), 2),
-        ("cyclic4", preset("cyclic", [4]), 2),
-        ("quaternion8", preset("quaternion8"), 2),
+        ("heisenberg3", 3),
+        ("modular3", 3),
+        ("el33", 3),
+        ("dihedral4", 2),
+        ("cyclic4", 2),
+        ("quaternion8", 2),
     ]
-    for label, group, q in cases:
+    for label, q in cases:
         for kind in TRIPLE_KINDS:
-            ok = _reconstruction(group, q, triple_of(kind))[3]
+            ok = _reconstruction(groups[label], q, triple_of(kind))[3]
             report.add(
                 f"reconstruct-{label}-{kind}",
                 PASS if ok else FAIL,
@@ -608,10 +639,11 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     if suite not in _SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {sorted(_SUITES)}")
     report = Report(tuple(argv), q=None)
+    groups = _GroupTable()
     for fn in _SUITES[suite]:
         start = time.perf_counter()
         before = len(report.records)
-        fn(report)
+        fn(report, groups)
         elapsed = time.perf_counter() - start
         # what the records did not time themselves is spread over the others
         added = report.records[before:]

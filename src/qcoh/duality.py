@@ -406,19 +406,23 @@ def level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     """Split G/T as (Z/q)^d and solve its cohomology and transgressions.
 
     Computed once per q and kept on the group.  Raises NotFreeLevel2 when
-    the quotient is trivial or not a free Z/q-module (no basis of order-q
-    elements with q-fold closure jumps exists); any other ValueError, such
-    as a cap, is not about freeness.
+    the quotient is trivial or not a free Z/q-module (|G/T| ≠ |G/Φ(G)|^s for
+    q = p^s), before H² of G/T can hit its cap; any other ValueError, such
+    as that cap, is not about freeness.
     """
     return _memoized(group, ("level2_frame", q), lambda: _level2_frame(group, q))
 
 
 def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
-    top = q_central_series(group, q).term(2)
-    data = quotient(group, top)
-    Q = data.quotient
-    if Q.order == 1:
+    series = q_central_series(group, q)
+    top = series.term(2)
+    if top.order == group.order:
         raise NotFreeLevel2("level-2 quotient is trivial")
+    frattini = q_central_series(group, series.p).term(2)
+    if group.order // top.order != (group.order // frattini.order) ** series.s:
+        raise NotFreeLevel2("level-2 quotient is not a free module over Z/q")
+    solver = transgression_solver(group, top, q)
+    Q = solver.data.quotient
     orders = element_orders(Q)
     candidates = itertools.chain(Q.generators, range(Q.order))
     basis: list[int] = []
@@ -432,8 +436,6 @@ def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
         if enlarged.order == current.order * q:
             basis.append(int(x))
             current = enlarged
-    if current.order != Q.order:
-        raise NotFreeLevel2("level-2 quotient is not a free module over Z/q")
     d = len(basis)
     exps, elems = _power_products(Q, basis, q)
     if np.unique(elems).size != Q.order:
@@ -452,7 +454,7 @@ def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     return Level2Frame(
         group=group,
         modulus=q,
-        solver=_transgression_solver(group, top, q, data),
+        solver=solver,
         basis=tuple(basis),
         chars=tuple(chars),
         coords=coords,
@@ -495,12 +497,12 @@ class TransgressionSolver:
 
 
 def transgression_solver(group: FiniteGroup, top: Subgroup, q: int) -> TransgressionSolver:
-    return _transgression_solver(group, top, q, quotient(group, top))
+    """Computed once per (T, q) and kept on the group."""
+    return _memoized(group, ("transgression_solver", top.members, q), lambda: _transgression_solver(group, top, q))
 
 
-def _transgression_solver(
-    group: FiniteGroup, top: Subgroup, q: int, data: QuotientData
-) -> TransgressionSolver:
+def _transgression_solver(group: FiniteGroup, top: Subgroup, q: int) -> TransgressionSolver:
+    data = quotient(group, top)
     inv = invariants_h1(group, top, q)
     space = h2(data.quotient, q)
     images = tuple(transgression(group, top, psi, q, data) for psi in inv.basis)
@@ -875,7 +877,7 @@ def duality_conditions(
 
     verdicts = (cond_a, cond_b, cond_c, cond_d, cond_e, cond_f)
     if len(set(verdicts)) != 1:
-        raise AssertionError(f"duality conditions disagree: {verdicts}")
+        raise VerificationError(f"duality conditions disagree: {verdicts}", {"verdicts": list(verdicts)})
     return DualityConditionsReport(
         kernel_matches_preimage=cond_a,
         exact_through_coefficients=cond_b,

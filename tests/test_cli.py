@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcoh.cli as cli_mod
@@ -360,8 +361,51 @@ def test_fault_theorem_d_meet_mismatch_is_a_fail_record(capsys, monkeypatch):
         raise AssertionError(f"failed records without both member lists: {data['machine']}")
 
 
+def test_fault_duality_disagreement_is_a_fail_record(capsys, monkeypatch):
+    """Condition (f) flipped by a lift kernel that is the whole group: FAIL records with the six verdicts, exit 1.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    monkeypatch.setattr(duality_mod, "_lift_kernel_mask", lambda group, data, ext: np.ones(group.order, dtype=bool))
+    code, out = _run(capsys, "duality-check", "--preset", "heisenberg", "--params", "3", "--q", "3",
+                     "--format", "json")
+    data = json.loads(out)
+    statuses = {r["status"] for r in data["checks"]}
+    expected = {"verdicts": [True, True, True, True, True, False]}
+    if code != 1 or len(data["checks"]) != 6 or statuses != {FAIL}:
+        raise AssertionError(f"exit {code}, records {data['checks']}")
+    if any(data["machine"][r["name"]] != expected for r in data["checks"]):
+        raise AssertionError(f"evidence {data['machine']}")
+
+    code, out = _run(capsys, "verify", "duality", "--format", "json")
+    data = json.loads(out)
+    failed = [r["name"] for r in data["checks"] if r["status"] == FAIL]
+    if code != 1 or "duality-heisenberg3-dec-cup" not in failed:
+        raise AssertionError(f"exit {code}, failed {failed}")
+    if any(set(data["machine"][name]) != {"verdicts"} for name in failed):
+        raise AssertionError(f"failed records without their verdicts: {data['machine']}")
+
+
+def test_memo_verify_builds_each_group_once(capsys, monkeypatch):
+    """One ``verify all`` builds each of its ten groups once; the suites share them."""
+    calls = [0]
+
+    def counted(build):
+        def wrapper(*a, **kw):
+            calls[0] += 1
+            return build(*a, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "preset", counted(cli_mod.preset))
+    monkeypatch.setattr(cli_mod, "free_level3", counted(cli_mod.free_level3))
+    code, _ = _run(capsys, "verify", "all", "--format", "json")
+    if code != 0 or calls[0] != 10:
+        raise AssertionError(f"exit {code}, {calls[0]} group constructions")
+
+
 def test_cli_verify_spreads_only_untimed_records(capsys, monkeypatch):
-    def suite(report):
+    def suite(report, groups):
         time.sleep(0.05)
         report.add("timed", PASS, "", timing=0.01)
         report.add("untimed-a", PASS, "")
@@ -398,6 +442,13 @@ def test_cli_reconstruct_not_free_is_hypothesis_not_met(capsys):
     code, out = _run(capsys, "reconstruct", "--preset", "cyclic", "--params", "2", "--q", "4")
     assert code == 3
     assert "HYPOTHESIS-NOT-MET" in out
+
+
+def test_cli_reconstruct_not_free_beyond_cap_is_hypothesis_not_met(capsys):
+    # G/T = (Z/2)^7 is not free over Z/4; that is decided before its order 128 meets the H² cap
+    code, out = _run(capsys, "reconstruct", "--preset", "elementary_abelian", "--params", "2", "7", "--q", "4")
+    assert code == 3
+    assert "not a free module over Z/q" in out
     assert "not a free module" in out
 
 

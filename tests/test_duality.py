@@ -758,6 +758,41 @@ def test_memo_level2_frame_is_freed_with_its_group():
         raise AssertionError("the level-2 facts kept on a group must not keep it alive")
 
 
+def test_memo_transgression_solver_is_kept_per_top_and_shared(monkeypatch):
+    """One solver per (T, q): equal subgroups, the level-2 frame and the six
+    duality conditions all read it.  Checked with explicit raises so it also
+    runs under ``python -O``."""
+    builds = [0]
+    real = duality_mod._transgression_solver
+
+    def counted(*a, **kw):
+        builds[0] += 1
+        return real(*a, **kw)
+
+    monkeypatch.setattr(duality_mod, "_transgression_solver", counted)
+    g = preset("heisenberg", [3])
+    top = q_central_series(g, 3).term(2)
+    solver = transgression_solver(g, top, 3)
+    if transgression_solver(g, Subgroup(g, top.members), 3) is not solver:
+        raise AssertionError("an equal subgroup built anew must return the kept solver")
+    if level2_frame(g, 3).solver is not solver:
+        raise AssertionError("the level-2 frame must read the kept solver")
+
+    g = preset("heisenberg", [3])
+    builds[0] = 0
+    for kind in TRIPLE_KINDS:
+        tri = triple_of(kind)
+        duality_conditions(g, 3, tri.top(g, 3), tri.floor(g, 3), tri.alpha_image)
+    if builds[0] != 1:
+        raise AssertionError(f"three duality_conditions calls built {builds[0]} solvers")
+
+    tri = triple_of("dec-cup")
+    alpha = tri.alpha_image(level2_frame(g, 3).space)
+    rep = duality_conditions(g, 3, tri.top(g, 3), tri.floor(g, 3), alpha)
+    if rep.as_tuple() != (True,) * 6:
+        raise AssertionError(f"conditions on the frame's own H² subspace: {rep.as_tuple()}")
+
+
 @pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_memo_dual_basis_from_the_frame_solver_is_identity(d, q):
     """Every sharp model up to the order cap: the frame's own basis and solver give the identity."""
