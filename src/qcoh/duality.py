@@ -406,8 +406,8 @@ def level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     """Split G/T as (Z/q)^d and solve its cohomology and transgressions.
 
     Computed once per q and kept on the group.  Raises NotFreeLevel2 when
-    the quotient is trivial or not a free Z/q-module (|G/T| ≠ |G/Φ(G)|^s for
-    q = p^s), before H² of G/T can hit its cap; any other ValueError, such
+    the quotient is trivial or not a free Z/q-module (|G/T| ≠ |(G/T)[p]|^s
+    for q = p^s), before H² of G/T can hit its cap; any other ValueError, such
     as that cap, is not about freeness.
     """
     return _memoized(group, ("level2_frame", q), lambda: _level2_frame(group, q))
@@ -418,8 +418,11 @@ def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     top = series.term(2)
     if top.order == group.order:
         raise NotFreeLevel2("level-2 quotient is trivial")
-    frattini = q_central_series(group, series.p).term(2)
-    if group.order // top.order != (group.order // frattini.order) ** series.s:
+    # G/T = G^ab/q is free iff |G/T| = |(G/T)[p]|^s, (G/T)[p] the cosets gT with g^p in T
+    pth = np.full(group.order, group.identity, dtype=np.int64)
+    for _ in range(series.p):
+        pth = group.table[pth, np.arange(group.order)]
+    if group.order // top.order != (int(np.isin(pth, top.members).sum()) // top.order) ** series.s:
         raise NotFreeLevel2("level-2 quotient is not a free module over Z/q")
     solver = transgression_solver(group, top, q)
     Q = solver.data.quotient
