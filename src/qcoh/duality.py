@@ -833,12 +833,8 @@ def duality_conditions(
     cond_b = injective and trg_sub.within(sub) and trg_sub.same_span(ker_sub)
 
     # (c) kernel toward G/T₀ sits in A and matches the inflation kernel
-    if floor.is_trivial():
-        # G/T₀ is G itself, and G → G/T is the solver's projection
-        mid_hom = solver.data.projection
-    else:
-        qd0 = quotient(group, floor)
-        mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
+    qd0 = quotient(group, floor)
+    mid_hom = GroupHom(qd0.quotient, space.group, solver.data.projection.images[qd0.coset_reps])
     kp_classes = _inflation_kernel_classes(space, mid_hom.source, mid_hom.images, space.basis)
     kp_sub = span_of_classes(space, kp_classes)
     cond_c = kp_sub.within(sub) and kp_sub.same_span(ker_sub)

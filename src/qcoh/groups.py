@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -163,16 +163,6 @@ def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
                 raise ValueError("multiplication table is not associative")
 
 
-def _compress_word(word: Sequence[str]) -> str:
-    if not word:
-        return "1"
-    parts: list[str] = []
-    for name, run in itertools.groupby(word):
-        k = len(list(run))
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return "*".join(parts)
-
-
 def _bfs_tree(
     table: np.ndarray, identity: int, gens: Sequence[int]
 ) -> list[tuple[int, int, int]]:
@@ -195,14 +185,31 @@ def _bfs_tree(
     return order
 
 
-def _labels_from_tree(
-    n: int, identity: int, tree: list[tuple[int, int, int]], gen_names: Sequence[str]
-) -> tuple[str, ...]:
-    words: list[list[str]] = [[] for _ in range(n)]
+class _Run(NamedTuple):
+    """The label before an element's last run, that run's generator name and length."""
+
+    head: Optional[str]
+    name: str
+    length: int
+
+
+def _labels_from_tree(n: int, tree: list[tuple[int, int, int]], gen_names: Sequence[str]) -> tuple[str, ...]:
+    """Each element's BFS word with runs written x^k, as in "s1^2*s2".
+
+    A label is its parent's label with one more letter, which either lengthens
+    the parent's last run or starts a new one, so no word is built.
+    """
+    labels = ["1"] * n
+    runs: list[Optional[_Run]] = [None] * n
     for elem, parent, pos in tree:
-        words[elem] = words[parent] + [gen_names[pos]]
-    labels = [_compress_word(w) for w in words]
-    labels[identity] = "1"
+        name, prev = gen_names[pos], runs[parent]
+        if prev is not None and prev.name == name:
+            run = _Run(prev.head, name, prev.length + 1)
+        else:
+            run = _Run(None if prev is None else labels[parent], name, 1)
+        runs[elem] = run
+        word = name if run.length == 1 else f"{name}^{run.length}"
+        labels[elem] = word if run.head is None else f"{run.head}*{word}"
     return tuple(labels)
 
 
@@ -224,7 +231,8 @@ class FiniteGroup:
         n = t.shape[0]
         if n == 0 or n > DEFAULT_MAX_ORDER:
             raise ValueError(f"group order must be in [1, {DEFAULT_MAX_ORDER}], got {n}")
-        if t.min() < 0 or t.max() >= n:
+        # one pass: a negative entry reads as at least 2**63 through the unsigned view
+        if t.view(np.uint64).max() >= n:
             raise ValueError("table entries must be element indices")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
@@ -292,7 +300,10 @@ class FiniteGroup:
         generators: Optional[Sequence[int]] = None,
         gen_names: Optional[Sequence[str]] = None,
         name: str = "G",
+        labels: Optional[Sequence[str]] = None,
     ) -> "FiniteGroup":
+        """The group of ``table``; without ``labels``, elements are labeled by
+        their BFS words in the generators."""
         t = np.ascontiguousarray(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -306,9 +317,9 @@ class FiniteGroup:
             gen_names = [f"g{i}" for i in range(len(gens))]
         if len(gen_names) != len(gens):
             raise ValueError("need one name per generator")
-        tree = _bfs_tree(t, e, gens)
-        labels = _labels_from_tree(t.shape[0], e, tree, gen_names)
-        return cls(t, e, inv, tuple(gens), labels, name)
+        if labels is None:
+            labels = _labels_from_tree(t.shape[0], _bfs_tree(t, e, gens), gen_names)
+        return cls(t, e, inv, tuple(gens), tuple(labels), name)
 
 
 _T = TypeVar("_T")
@@ -425,6 +436,9 @@ class Subgroup:
         object.__setattr__(self, "_mask", mask)
         if not mask[self.parent.identity]:
             raise ValueError("subgroup must contain the identity")
+        if len(mem) == self.parent.order and mem[0] == 0:
+            # all of G: every product and inverse is an element, so nothing to scan
+            return
         if not all(mask[blk].all() for blk in _row_blocks(self.parent.table, idx, idx)):
             raise ValueError("member set is not closed under multiplication")
         if not mask[self.parent.inverses[idx]].all():
@@ -460,7 +474,7 @@ class Subgroup:
 
 
 def whole_group(group: FiniteGroup) -> Subgroup:
-    """G as a subgroup of itself, built (and closure-checked) once per group."""
+    """G as a subgroup of itself, built once per group."""
     return _memoized(group, ("whole_group",), lambda: Subgroup(group, tuple(range(group.order))))
 
 
@@ -826,6 +840,10 @@ class QuotientData:
 def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientData:
     if normal.parent is not group:
         raise ValueError("subgroup belongs to a different group")
+    if normal.is_trivial():
+        # G/1 is G itself, with the identity projection
+        idx = np.arange(group.order)
+        return QuotientData(group, GroupHom(group, group, idx), idx)
     if not normal.is_normal():
         raise ValueError("can only quotient by a normal subgroup")
     mem = list(normal.members)

@@ -190,6 +190,10 @@ def _perm_group_from_generators(
     return FiniteGroup.from_table(table, generators=gen_indices, name="perm-group")
 
 
+def _labels_fit(labels: Any, n: int) -> bool:
+    return isinstance(labels, list) and len(labels) == n and all(isinstance(x, str) for x in labels)
+
+
 def parse_group_document(doc: dict) -> FiniteGroup:
     """Build a group from a parsed document; errors carry the key location."""
     if not isinstance(doc, dict):
@@ -201,6 +205,7 @@ def parse_group_document(doc: dict) -> FiniteGroup:
         )
     kind = keys[0]
     body = doc[kind]
+    labels = doc.get("labels")
     if kind == "preset":
         if not isinstance(body, dict) or "name" not in body:
             raise GroupSpecError("preset needs a 'name'", "$.preset")
@@ -237,22 +242,17 @@ def parse_group_document(doc: dict) -> FiniteGroup:
             raise GroupSpecError("table must be a square matrix", "$.table") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GroupSpecError("table must be a square matrix", "$.table")
+        # labels that fit are applied here, so the table is verified once
+        fitting = labels if _labels_fit(labels, arr.shape[0]) else None
         try:
-            group = FiniteGroup.from_table(arr, name=str(doc.get("name", "G")))
+            group = FiniteGroup.from_table(arr, name=str(doc.get("name", "G")), labels=fitting)
         except (ValueError, IndexError) as exc:
             raise GroupSpecError(str(exc), "$.table") from exc
         if group.identity != 0:
             raise GroupSpecError("identity must be the element at index 0", "$.table")
-    labels = doc.get("labels")
-    if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != group.order
-            or not all(isinstance(x, str) for x in labels)
-        ):
-            raise GroupSpecError(
-                f"labels must be {group.order} strings", "$.labels"
-            )
+    if labels is not None and not _labels_fit(labels, group.order):
+        raise GroupSpecError(f"labels must be {group.order} strings", "$.labels")
+    if labels is not None and kind != "table":
         group = FiniteGroup(
             group.table,
             group.identity,

@@ -35,6 +35,7 @@ from qcoh.groups import (
     _BLOCK_CELLS,
     FiniteGroup,
     GroupHom,
+    QuotientData,
     Subgroup,
     _hom_images,
     _row_blocks,
@@ -354,6 +355,52 @@ def is_normal_all_conjugates(sub) -> bool:
     g = np.arange(parent.order)
     conj = parent.table[parent.table[np.ix_(parent.inverses[g], sub.members)], g[:, None]]
     return bool(sub.mask[conj].all())
+
+
+def labels_by_words(n: int, identity: int, tree, gen_names) -> tuple[str, ...]:
+    """BFS labels by building every element's whole word along ``tree`` and
+    run-length compressing it with ``itertools.groupby``."""
+    words: list[list[str]] = [[] for _ in range(n)]
+    for elem, parent, pos in tree:
+        words[elem] = words[parent] + [gen_names[pos]]
+    labels = []
+    for word in words:
+        runs = [(name, len(list(run))) for name, run in itertools.groupby(word)]
+        labels.append("*".join(name if k == 1 else f"{name}^{k}" for name, k in runs) or "1")
+    labels[identity] = "1"
+    return tuple(labels)
+
+
+def quotient_by_cosets(group, normal) -> QuotientData:
+    """G/N built from its coset table, for every N including N = 1: cosets
+    xN named by their smallest member, the table coset_index[reps × reps]
+    verified by ``from_table``, and the projection's kernel and image checked."""
+    if not normal.is_normal():
+        raise ValueError("can only quotient by a normal subgroup")
+    mem = list(normal.members)
+    coset_min = group.table[:, mem].min(axis=1)
+    reps = np.unique(coset_min)
+    coset_index = np.searchsorted(reps, coset_min)
+    m = reps.size
+    qt = np.empty((m, m), dtype=np.int64)
+    lo = 0
+    for block in _row_blocks(group.table, reps, reps):
+        qt[lo : lo + len(block)] = coset_index[block]
+        lo += len(block)
+    gen_images: list[int] = []
+    gen_names: list[str] = []
+    for g in group.generators:
+        ci = int(coset_index[g])
+        if ci != coset_index[group.identity] and ci not in gen_images:
+            gen_images.append(ci)
+            gen_names.append(group.labels[g])
+    quot = FiniteGroup.from_table(qt, generators=gen_images, gen_names=gen_names, name=f"{group.name}/N")
+    proj = GroupHom(group, quot, coset_index)
+    if proj.kernel().members != normal.members:
+        raise AssertionError("projection kernel must equal the quotienting subgroup")
+    if not proj.is_surjective():
+        raise AssertionError("projection must be surjective")
+    return QuotientData(quot, proj, reps)
 
 
 def brute_hom_count(src_table, src_identity, src_gens, tgt_table, tgt_identity,

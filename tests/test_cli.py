@@ -120,6 +120,30 @@ def test_document_labels_applied():
     assert g.label(1) == "t"
 
 
+def test_labeled_table_document_verified_once(monkeypatch):
+    """A labeled table document is built and Light-tested once; its labels
+    and name round-trip through group_to_document."""
+    import qcoh.groups as groups_mod
+
+    base = group_to_document(preset("cyclic", [4]))
+    calls = []
+    real = groups_mod._check_associative
+    monkeypatch.setattr(groups_mod, "_check_associative", lambda *a: calls.append(1) or real(*a))
+    doc = {"name": "Z4", "table": base["table"], "labels": ["e", "x", "x2", "x3"]}
+    g = parse_group_document(doc)
+    assert len(calls) == 1
+    assert g.labels == ("e", "x", "x2", "x3") and g.name == "Z4"
+    assert group_to_document(g) == doc
+
+
+def test_labeled_non_associative_table_rejected_at_table():
+    # a Latin square with identity 0 and self-inverse rows: a loop, not a group
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupSpecError, match="not associative") as exc:
+        parse_group_document({"table": loop, "labels": list("abcde")})
+    assert exc.value.location == "$.table"
+
+
 def test_document_reindexes_identity_on_emit():
     base = preset("cyclic", [3])
     # relabel so the identity sits at index 1
@@ -464,6 +488,20 @@ def test_cli_free_model_emit_roundtrip(tmp_path, capsys):
     code, out = _run(capsys, "series", "--group", str(emitted), "--q", "3")
     assert code == 0
     assert "orders [27, 3, 1]" in out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cli_free_model_flat_q2_emits_the_sharp_document(tmp_path, capsys, d):
+    """At q = 2 the δq-th powers of sharp(d,2) are trivial, so the flat group is
+    the sharp group itself, and the emitted documents agree byte for byte."""
+    paths = {}
+    for variant in ("sharp", "flat"):
+        paths[variant] = tmp_path / f"{variant}{d}2.json"
+        code, _ = _run(capsys, "free-model", "--d", str(d), "--q", "2",
+                       "--variant", variant, "--emit", str(paths[variant]))
+        assert code == 0
+    assert paths["flat"].read_bytes() == paths["sharp"].read_bytes()
+    assert json.loads(paths["flat"].read_text(encoding="utf-8"))["name"] == f"sharp({d},2)"
 
 
 def test_cli_free_model_sharp_has_basis(capsys):

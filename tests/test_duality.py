@@ -409,8 +409,7 @@ def test_duality_exact_at_order_cap(sharp25, kind, floor_order):
 
 
 def test_trivial_floor_builds_no_copy_of_the_group(monkeypatch):
-    """Condition (c) with T₀ = 1 reads G/T₀ as G: no quotient of order |G| is built."""
-    import qcoh.cohomology as cohomology_mod
+    """Condition (c) with T₀ = 1 reads G/T₀ as G: no group of order |G| is built."""
     import qcoh.groups as groups_mod
 
     g = free_level3(2, 4, "sharp").group
@@ -418,15 +417,13 @@ def test_trivial_floor_builds_no_copy_of_the_group(monkeypatch):
     top, floor = tri.top(g, 4), tri.floor(g, 4)
     assert floor.is_trivial()
     built = []
-    original = groups_mod.quotient
+    original = groups_mod.FiniteGroup.__post_init__
 
-    def recorded(group, normal):
-        data = original(group, normal)
-        built.append(data.quotient.order)
-        return data
+    def recorded(self):
+        original(self)
+        built.append(self.order)
 
-    for mod in (duality_mod, cohomology_mod, groups_mod):
-        monkeypatch.setattr(mod, "quotient", recorded)
+    monkeypatch.setattr(groups_mod.FiniteGroup, "__post_init__", recorded)
     rep = duality_conditions(g, 4, top, floor, tri.alpha_image)
     assert rep.as_tuple() == (True,) * 6
     assert built and g.order not in built

@@ -401,6 +401,83 @@ def _preset_id(spec):
     return "-".join([name, *map(str, params)])
 
 
+def _pool_group(spec) -> FiniteGroup:
+    """A POOL preset, or ("sharp", [d, q]) for sharp(d, q), or ("trivial", [])."""
+    name, params = spec
+    if name == "sharp":
+        return free_level3(*params).group
+    if name == "trivial":
+        return FiniteGroup.from_table([[0]], name="1")
+    return preset(name, params)
+
+
+@pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("sharp", [3, 2]), ("trivial", [])], ids=_preset_id)
+def test_bfs_labels_match_word_oracle(spec):
+    """Labels built from the parent's label equal the compressed whole words:
+    with the group's generators, with one name shared by all of them (runs
+    that span generators), and with a repeated generator.  Explicit raises, so
+    it also checks under ``python -O``."""
+    g = _pool_group(spec)
+    gens = list(g.generators)
+    cases = [(gens, [f"g{i}" for i in range(len(gens))]), (gens, ["a"] * len(gens))]
+    if gens:
+        cases.append((gens[::-1] + gens[:1], [("x", "y")[i % 2] for i in range(len(gens) + 1)]))
+    for gs, names in cases:
+        tree = groups._bfs_tree(g.table, g.identity, gs)
+        got = groups._labels_from_tree(g.order, tree, names)
+        want = oracles.labels_by_words(g.order, g.identity, tree, names)
+        if got != want:
+            bad = next(x for x in range(g.order) if got[x] != want[x])
+            raise AssertionError(f"element {bad}: {got[bad]!r} != {want[bad]!r}")
+
+
+@pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+def test_trivial_quotient_matches_coset_oracle(spec):
+    """G/1 is G itself with the identity projection, and its table, projection
+    images, coset representatives and generators equal the coset-table
+    construction's.  Explicit raises, so it also checks under ``python -O``."""
+    g = _pool_group(spec)
+    data = quotient(g, trivial_subgroup(g))
+    if data.quotient is not g or data.source is not g:
+        raise AssertionError("the quotient by 1 must be the group itself")
+    slow = oracles.quotient_by_cosets(g, trivial_subgroup(g))
+    np.testing.assert_array_equal(data.quotient.table, slow.quotient.table)
+    np.testing.assert_array_equal(data.projection.images, slow.projection.images)
+    np.testing.assert_array_equal(data.coset_reps, slow.coset_reps)
+    if (data.quotient.identity, data.quotient.generators) != (slow.quotient.identity, slow.quotient.generators):
+        raise AssertionError("the quotient by 1 must keep the oracle's identity and generators")
+
+
+@pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+def test_whole_group_matches_full_closure_check(spec):
+    """whole_group, which skips the closure scan, equals G's member set closed
+    by the pairwise-product oracle; one element short of G is still rejected."""
+    g = _pool_group(spec)
+    G = whole_group(g)
+    full = Subgroup(g, range(g.order))
+    if G.members != full.members or G.members != tuple(range(g.order)):
+        raise AssertionError("whole_group must hold every element")
+    np.testing.assert_array_equal(G.mask, full.mask)
+    if g.order <= 64 and oracles.closure_of(g.table, g.identity, G.members) != frozenset(G.members):
+        raise AssertionError("the oracle's closure of G must be G")
+    if not (G.mask[g.table].all() and G.mask[g.inverses].all()):
+        raise AssertionError("all of G must be closed under products and inverses")
+    if g.order > 2:
+        # a proper subgroup has at most half the elements, so G minus one is not closed
+        missing = max(x for x in g.elements() if x != g.identity)
+        with pytest.raises(ValueError, match="not closed"):
+            Subgroup(g, [x for x in g.elements() if x != missing])
+
+
+@pytest.mark.parametrize("entry", [-1, 4, np.iinfo(np.int64).min, np.iinfo(np.int64).max], ids=["-1", "n", "int64-min", "int64-max"])
+def test_table_range_rejects_non_indices(entry):
+    z4 = preset("cyclic", [4])
+    bad = z4.table.copy()
+    bad[1, 2] = entry
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        FiniteGroup(bad, z4.identity, z4.inverses, z4.generators, z4.labels)
+
+
 def _permutation_group(perms: list, name: str) -> FiniteGroup:
     """The group of the given permutations of range(k) under composition."""
     index = {p: i for i, p in enumerate(perms)}
