@@ -21,11 +21,12 @@ Three solver ideas keep everything exact while scaling past tiny groups:
   kernel is exactly the set of combinations Σ yᵢ·cᵢ that are coboundaries.
 * Full H² comes from a pc presentation (Holt–Eick–O'Brien, *Handbook of
   Computational Group Theory*, ch. 8–9).  A class is a vector of tails on
-  the N(N+1)/2 pc relations; the consistent tails are the kernel of an
-  n·N(N+1)/2 × N(N+1)/2 system.  Each tails cocycle then moves to the frame
-  that classes are compared in: its values c(x, s) on the solver
-  generators ("v-vector"), which determine every other entry by
-  c(x, ys) = c(x,y) + c(xy,s) − c(y,s) along the BFS tree.
+  the N(N+1)/2 pc relations; the consistent tails Z_t are the kernel of an
+  n·N(N+1)/2 × N(N+1)/2 system, and H² = Z_t/B_t, with B_t the tail changes
+  of the lift changes ĝ_i ↦ ĝ_i·z.  A cocycle is read back as its tails,
+  the path sums of its values along each relation from 1, so every class
+  solve is N(N+1)/2 columns wide; n × n cochains are built only for the
+  basis representatives.
 """
 
 from __future__ import annotations
@@ -662,7 +663,7 @@ def transgression(
 
 
 # --------------------------------------------------------------------------
-# H² from consistent pc tails, in the canonical v-space frame
+# H² = Z_t/B_t from consistent pc tails
 
 
 def _tail_index(big_n: int) -> np.ndarray:
@@ -676,6 +677,19 @@ def _tail_index(big_n: int) -> np.ndarray:
 def _letters(word: np.ndarray) -> list[int]:
     """The normal word with exponent vector ``word``, one pc generator index per letter."""
     return [m for m in range(word.size) for _ in range(int(word[m]))]
+
+
+def _relators(pc: PcPresentation) -> list[tuple[list[int], list[int]]]:
+    """The letters (lhs, rhs) of each pc relation lhs = rhs·z^t, in tail order.
+
+    Relation (i, i) is ĝ_i^{r_i} = ŵ_ii·z^{t_ii}; relation (i, j), j > i, is
+    ĝ_jĝ_i = ĝ_iŵ_ij·z^{t_ij}.
+    """
+    out = []
+    for i in range(pc.length):
+        out.append(([i] * pc.rel_orders[i], _letters(pc.power_words[i])))
+        out += [([j, i], [i] + _letters(pc.conj_words[i, j])) for j in range(i + 1, pc.length)]
+    return out
 
 
 def _path_forms(pc: PcPresentation, forms: np.ndarray, letters: Sequence[int], start: np.ndarray) -> np.ndarray:
@@ -734,19 +748,12 @@ def _consistent_tails(pc: PcPresentation, forms: np.ndarray, q: int) -> np.ndarr
     element x equals its tail: then the lifts act on Z/q × G, and the group
     they generate has order q·|G|.  That is n·N(N+1)/2 rows on N(N+1)/2 columns.
     """
-    big_n = pc.length
-    tails = _tail_index(big_n)
     xs = np.arange(pc.group.order)
     blocks = []
-    for i in range(big_n):
-        for j in range(i, big_n):
-            if i == j:
-                lhs, rhs = [i] * pc.rel_orders[i], _letters(pc.power_words[i])
-            else:
-                lhs, rhs = [j, i], [i] + _letters(pc.conj_words[i, j])
-            rows = _path_forms(pc, forms, lhs, xs) - _path_forms(pc, forms, rhs, xs)
-            rows[:, tails[i, j]] -= 1
-            blocks.append(rows % q)
+    for k, (lhs, rhs) in enumerate(_relators(pc)):
+        rows = _path_forms(pc, forms, lhs, xs) - _path_forms(pc, forms, rhs, xs)
+        rows[:, k] -= 1
+        blocks.append(rows % q)
     m = forms.shape[2]
     rows = np.concatenate(blocks) if blocks else np.zeros((0, m), dtype=np.int64)
     rows = rows[rows.any(axis=1)]
@@ -771,6 +778,40 @@ def _lift_change_tails(pc: PcPresentation, q: int) -> np.ndarray:
     return rows % q
 
 
+def _tail_reader(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (xs, ys, coef) with tails(c) = c.values[xs, ys] @ coef; kept on the group.
+
+    For a cocycle c, the lifts (0, g_i) in the extension Z/q ×_c G satisfy
+    each pc relation lhs = rhs up to z^{P_c(lhs; 1) − P_c(rhs; 1)}, where
+    P_c(w; 1) sums c(·, g_m) along the letters m of w from 1: the path sums
+    of :func:`_consistent_tails` at x = 1.  These tails are consistent, and
+    their cocycle differs from c by the coboundary of the change of section,
+    so tails(c) modulo B_t names the class of c.  Pairs (1, g) read 0 on a
+    normalized cochain and are left out.
+    """
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pc = pc_presentation(group)
+        relators = _relators(pc)
+        reads = []  # (x, g_m, tail, sign), one per letter read off a relation side
+        for k, (lhs, rhs) in enumerate(relators):
+            for letters, sign in ((lhs, 1), (rhs, -1)):
+                cur = group.identity
+                for m in letters:
+                    if cur != group.identity:
+                        reads.append((cur, pc.gens[m], k, sign))
+                    cur = int(group.table[cur, pc.gens[m]])
+        arr = np.array(reads, dtype=np.int64).reshape(-1, 4)
+        coef = np.zeros((len(arr), len(relators)), dtype=np.int64)
+        coef[np.arange(len(arr)), arr[:, 2]] = arr[:, 3]
+        out = (arr[:, 0].copy(), arr[:, 1].copy(), coef)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    return _memoized(group, ("tail_reader",), build)
+
+
 def _expand_v(group: FiniteGroup, q: int, vrows: np.ndarray) -> np.ndarray:
     """Value tables (b, n, n) of the 2-cochains with the given v-vectors.
 
@@ -790,39 +831,22 @@ def _expand_v(group: FiniteGroup, q: int, vrows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coboundary_rows(group: FiniteGroup, q: int, gens: tuple[int, ...]) -> np.ndarray:
-    """v-space vectors of ∂δ_g for g ≠ 1 (the coboundary lattice)."""
-    n = group.order
-    d = len(gens)
-    garr = np.arange(n)
-    rows = np.zeros((n, n, d), dtype=np.int64)
-    for k, s in enumerate(gens):
-        xs_col = group.table[:, s]
-        rows[:, :, k] = (garr[:, None] == garr[None, :]).astype(np.int64)
-        rows[s, :, k] += 1
-        rows[:, :, k] -= (garr[:, None] == xs_col[None, :]).astype(np.int64)
-    flat = rows.reshape(n, n * d) % q
-    return np.delete(flat, group.identity, axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class H2Space:
-    """H²(G, Z/q) with cocycle-representative basis and coordinates.
+    """H²(G, Z/q) = Z_t/B_t with cocycle-representative basis and coordinates.
 
-    Internally a cocycle is identified with its restriction to the pairs
-    (x, s) over the solver generators ("v-vector"); that restriction is
-    injective on cocycles and spans are compared there.  ``express`` and
-    ``relations`` answer every class solve in that frame.
+    A cocycle's class is its tail vector (:func:`_tail_reader`) modulo B_t,
+    the lift-change tails, so ``express`` and ``relations`` answer every
+    class solve N(N+1)/2 columns wide.  ``_basis_t`` holds the basis classes'
+    tail vectors and ``_b_tails`` the Howell form of B_t.
     """
 
     group: FiniteGroup
     modulus: int
-    gens: tuple[int, ...]
     basis: tuple[Cochain2, ...]
     invariant_factors: tuple[int, ...]
-    _basis_v: np.ndarray
-    _cob_v: np.ndarray
-    _cob_howell: HowellForm
+    _basis_t: np.ndarray
+    _b_tails: HowellForm
 
     @property
     def order(self) -> int:
@@ -831,15 +855,18 @@ class H2Space:
             n *= f
         return n
 
-    def v_vector(self, c: Cochain2) -> np.ndarray:
-        cols = list(self.gens)
-        return c.values[:, cols].reshape(-1).copy()
+    def _tails(self, classes: Sequence[Cochain2]) -> np.ndarray:
+        """The tail vectors of ``classes``, one row each; each must be a cocycle on the group."""
+        for c in classes:
+            if not _same_group(c.group, self.group) or c.modulus != self.modulus:
+                raise ValueError("cochain belongs to a different carrier")
+            _require_cocycle2(c)
+        xs, ys, coef = _tail_reader(self.group)
+        vals = np.array([c.values[xs, ys] for c in classes], dtype=np.int64).reshape(len(classes), xs.size)
+        return (vals @ coef) % self.modulus
 
     def coordinates_of(self, c: Cochain2) -> tuple[int, ...]:
         """Class coordinates in the basis (reduced mod the cyclic orders)."""
-        if not _same_group(c.group, self.group) or c.modulus != self.modulus:
-            raise ValueError("cochain belongs to a different carrier")
-        _require_cocycle2(c)
         sol = self.express(self.basis, c)
         if sol is None:
             raise AssertionError("cocycle not in the computed span (solver bug)")
@@ -847,12 +874,13 @@ class H2Space:
 
     def express(self, classes: Sequence[Cochain2], c: Cochain2) -> Optional[np.ndarray]:
         """Coefficients y with Σ yᵢ·classesᵢ ≡ c modulo B², or None."""
-        sol = solve(ZqMatrix(_stacked_v(self, classes, self._cob_v).T, self.modulus), self.v_vector(c))
+        stacked = np.concatenate([self._tails(classes), self._b_tails.matrix.entries], axis=0)
+        sol = solve(ZqMatrix(stacked.T, self.modulus), self._tails([c])[0])
         return None if sol is None else sol[: len(classes)]
 
     def relations(self, classes: Sequence[Cochain2]) -> np.ndarray:
         """Rows y generating the combinations with Σ yᵢ·classesᵢ in B²."""
-        return _relations(self, classes, self._cob_v)
+        return _relations(self, classes, self._b_tails.matrix.entries)
 
     def representative(self, coords: Sequence[int]) -> Cochain2:
         acc = np.zeros((self.group.order, self.group.order), dtype=np.int64)
@@ -873,91 +901,65 @@ class H2Space:
 def h2(group: FiniteGroup, q: int, cap: int = H2_CAP) -> H2Space:
     """Full H²(G, Z/q) of a solvable group.  Guarded by ``cap``.
 
-    Z² comes from the consistent tails of :func:`qcoh.groups.pc_presentation`
-    and is then written in the canonical v-space frame of :class:`H2Space`.
-    Computed once per q and kept on the group; ``cap`` is checked on every call.
+    H² = Z_t/B_t, the consistent tails of :func:`qcoh.groups.pc_presentation`
+    modulo the lift-change tails, presented by the Smith form of B_t on the
+    Howell rows of Z_t.  Computed once per q and kept on the group; ``cap``
+    is checked on every call.
     """
     if group.order > cap:
         raise ValueError(f"group order {group.order} exceeds the H² solver cap {cap}")
     return _memoized(group, ("h2", q), lambda: _h2(group, q))
 
 
-def _cocycle_span(group: FiniteGroup, q: int, cob: np.ndarray, cob_h: HowellForm) -> HowellForm:
-    """Z² in the v-space frame, from consistent pc tails.
-
-    Every cocycle is a tails cocycle plus a coboundary, so the Howell form of
-    the tails cocycles' v-vectors and the coboundary rows ``cob`` is the
-    canonical generating set of Z².  ``cob_h`` is the Howell form of ``cob``.
-    """
+def _h2(group: FiniteGroup, q: int) -> H2Space:
     n = group.order
-    gens = _solver_gens(group)
     pc = pc_presentation(group)
     forms = _tail_forms(pc, q)
-    z_tails = _consistent_tails(pc, forms, q)
-    # c(x, s) = P(word(s); x) takes each consistent tail vector to its v-vector
-    xs = np.arange(n)
+    z_h = howell_form(ZqMatrix(_consistent_tails(pc, forms, q), q))
+    b_h = howell_form(ZqMatrix(_lift_change_tails(pc, q), q))
+    zrows, brows = z_h.matrix.entries, b_h.matrix.entries
+    if coset_reduce(z_h, brows).any():
+        raise AssertionError("a lift change gave inconsistent tails")
+    # the reader kills B²: tails(∂δ_g) lies in B_t for every g ≠ 1
+    xs, ys, coef = _tail_reader(group)
+    others = np.flatnonzero(np.arange(n) != group.identity)
+    hits = (xs[:, None] == others).astype(np.int64) + (ys[:, None] == others) - (group.table[xs, ys][:, None] == others)
+    if coset_reduce(b_h, (hits.T @ coef) % q).any():
+        raise AssertionError("the tail reader does not kill a coboundary")
+    # each Z_t generator's values c(x, s) = P(word(s); x) on the solver generators
+    gens = _solver_gens(group)
     gen_forms = np.zeros((n, len(gens), forms.shape[2]), dtype=np.int64)
     for k, s in enumerate(gens):
-        gen_forms[:, k] = _path_forms(pc, forms, _letters(pc.exponents[s]), xs)
-    tails_v = (z_tails @ gen_forms.reshape(n * len(gens), forms.shape[2]).T) % q
-    for vals in _expand_v(group, q, tails_v):
+        gen_forms[:, k] = _path_forms(pc, forms, _letters(pc.exponents[s]), np.arange(n))
+    to_v = gen_forms.reshape(n * len(gens), forms.shape[2]).T
+    for vals in _expand_v(group, q, (zrows @ to_v) % q):
         if not Cochain2(group, q, vals).is_cocycle():
             raise AssertionError("a consistent tail vector gave a non-cocycle")
-    z2_h = howell_form(ZqMatrix(np.concatenate([tails_v, cob], axis=0), q))
-    # H² ≅ Z_t/B_t: the tails count the classes a second time
-    z_h = howell_form(ZqMatrix(z_tails, q))
-    b_tails = _lift_change_tails(pc, q)
-    if not all(row_span_contains(z_h, row) for row in b_tails):
-        raise AssertionError("a lift change gave inconsistent tails")
-    by_tails = row_span_size(z_h) // row_span_size(howell_form(ZqMatrix(b_tails, q)))
-    if by_tails != row_span_size(z2_h) // row_span_size(cob_h):
-        raise AssertionError("|Z_t/B_t| disagrees with |Z²/B²|")
-    return z2_h
-
-
-def _h2(group: FiniteGroup, q: int) -> H2Space:
-    gens = _solver_gens(group)
-    cob = _coboundary_rows(group, q, gens)
-    cob_h = howell_form(ZqMatrix(cob, q))
-    z2_h = _cocycle_span(group, q, cob, cob_h)
-    zrows = z2_h.matrix.entries
-    # relations of the quotient Z²/B² in terms of the Z² generators
-    stacked = np.concatenate([zrows, cob], axis=0)
-    left = kernel(ZqMatrix(stacked.T, q)).entries
-    mu = left[:, : zrows.shape[0]]
-    pres = AbGroupPresentation.from_relations(zrows.shape[0], q, mu)
-    basis_v = (pres.basis_images.entries @ zrows) % q
-    for arr in (basis_v, cob):
-        arr.flags.writeable = False
-    basis = []
-    for vals in _expand_v(group, q, basis_v):
-        c = Cochain2(group, q, vals)
+    # relations of the quotient Z_t/B_t in terms of the Howell rows of Z_t
+    left = kernel(ZqMatrix(np.concatenate([zrows, brows], axis=0).T, q)).entries
+    pres = AbGroupPresentation.from_relations(zrows.shape[0], q, left[:, : zrows.shape[0]])
+    basis_t = (pres.basis_images.entries @ zrows) % q
+    basis_t.flags.writeable = False
+    basis = tuple(Cochain2(group, q, v) for v in _expand_v(group, q, (basis_t @ to_v) % q))
+    for c in basis:
         if not c.is_cocycle():
             raise AssertionError("an H² basis representative is not a cocycle")
-        basis.append(c)
+    space = H2Space(group, q, basis, pres.invariant_factors, basis_t, b_h)
+    # read-back: the reader returns each basis class's own tail vector
+    if not np.array_equal(space._tails(basis), basis_t):
+        raise AssertionError("tails read back from an H² basis representative differ from its tail vector")
     p, _ = factor_prime_power(q)
     for c, f in zip(basis, pres.invariant_factors):
         if is_coboundary(c.scale(f // p)) is not None:
             raise AssertionError("an H² basis class has smaller order than claimed")
-    space = H2Space(
-        group=group,
-        modulus=q,
-        gens=gens,
-        basis=tuple(basis),
-        invariant_factors=pres.invariant_factors,
-        _basis_v=basis_v,
-        _cob_v=cob,
-        _cob_howell=cob_h,
-    )
-    # with the |Z_t/B_t| check of _cocycle_span, the tails count agrees too
-    if space.order != row_span_size(z2_h) // row_span_size(cob_h):
-        raise AssertionError("H² presentation order disagrees with the span count")
+    if space.order != row_span_size(z_h) // row_span_size(b_h):
+        raise AssertionError("H² presentation order disagrees with |Z_t/B_t|")
     return space
 
 
 @dataclass(frozen=True, eq=False)
 class H2Subspace:
-    """A submodule of H², stored as v-vector spans with coboundaries folded in."""
+    """A submodule of H², stored as the Howell form of its tail vectors with B_t folded in."""
 
     space: H2Space
     gens: tuple[Cochain2, ...]
@@ -965,11 +967,10 @@ class H2Subspace:
 
     @property
     def order(self) -> int:
-        return row_span_size(self._span) // row_span_size(self.space._cob_howell)
+        return row_span_size(self._span) // row_span_size(self.space._b_tails)
 
     def contains(self, c: Cochain2) -> bool:
-        _require_cocycle2(c)
-        return row_span_contains(self._span, self.space.v_vector(c))
+        return row_span_contains(self._span, self.space._tails([c])[0])
 
     def relations(self, classes: Sequence[Cochain2]) -> np.ndarray:
         """Rows y generating the combinations with Σ yᵢ·classesᵢ in this subspace."""
@@ -985,31 +986,20 @@ class H2Subspace:
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
     def coordinate_members(self) -> frozenset[tuple[int, ...]]:
-        """All class coordinates lying in this subspace (enumerates the span)."""
-        out = set()
-        factors = [range(f) for f in (self.space.invariant_factors or ())]
-        for coords in itertools.product(*factors):
-            if self.contains(self.space.representative(coords)):
-                out.add(coords)
-        return frozenset(out)
-
-
-def _stacked_v(space: H2Space, classes: Sequence[Cochain2], rows: np.ndarray) -> np.ndarray:
-    """The v-vectors of ``classes`` stacked above ``rows``."""
-    v = np.array([space.v_vector(c) for c in classes], dtype=np.int64).reshape(len(classes), rows.shape[1])
-    return np.concatenate([v, rows], axis=0)
+        """All class coordinates lying in this subspace: each coordinate row's tails, reduced by the span."""
+        coords = np.array(list(self.space.enumerate_coordinates()), dtype=np.int64)
+        outside = coset_reduce(self._span, coords @ self.space._basis_t).any(axis=1)
+        return frozenset(map(tuple, coords[~outside].tolist()))
 
 
 def _relations(space: H2Space, classes: Sequence[Cochain2], rows: np.ndarray) -> np.ndarray:
-    """Rows y generating the combinations with Σ yᵢ·classesᵢ in the span of ``rows``."""
-    stacked = _stacked_v(space, classes, rows)
+    """Rows y generating the combinations with Σ yᵢ·classesᵢ in the span of the tail rows ``rows``."""
+    stacked = np.concatenate([space._tails(classes), rows], axis=0)
     return kernel(ZqMatrix(stacked.T, space.modulus)).entries[:, : len(classes)]
 
 
 def span_of_classes(space: H2Space, cochains: Sequence[Cochain2]) -> H2Subspace:
-    for c in cochains:
-        _require_cocycle2(c)
-    stacked = _stacked_v(space, cochains, space._cob_v)
+    stacked = np.concatenate([space._tails(cochains), space._b_tails.matrix.entries], axis=0)
     return H2Subspace(space, tuple(cochains), howell_form(ZqMatrix(stacked, space.modulus)))
 
 

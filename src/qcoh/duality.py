@@ -221,7 +221,7 @@ def _twist_kernel(source: FiniteGroup, q: int, twists: np.ndarray) -> np.ndarray
     with the combination as twist, and ∂u = Σ y_i·c_i is imposed on every
     pair (x, s∈S).  That pair system is exact: the difference of two
     cocycles that vanishes on all (x, s) pairs vanishes everywhere (the
-    v-vector fact behind H2Space), so the y-part of its kernel spans the
+    fact ``cohomology._expand_v`` rests on), so the y-part of its kernel spans the
     kernel on classes exactly, at every order up to the order cap (there are
     only |S|+k unknowns).  Every kernel row is checked against the full pair
     system before return.  The read-only result is kept on ``source`` per

@@ -429,6 +429,8 @@ class Subgroup:
         object.__setattr__(self, "members", mem)
         if not mem:
             raise ValueError("subgroup cannot be empty")
+        if mem[0] < 0 or mem[-1] >= self.parent.order:
+            raise ValueError("subgroup members must be element indices")
         idx = np.array(mem, dtype=np.int64)
         mask = np.zeros(self.parent.order, dtype=bool)
         mask[idx] = True

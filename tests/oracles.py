@@ -14,7 +14,6 @@ import numpy as np
 from qcoh.cohomology import (
     Cochain1,
     Cochain2,
-    _coboundary_rows,
     _solver_gens,
     _solver_tree,
     bockstein,
@@ -582,6 +581,21 @@ def class_of_spec(spec) -> Cochain2:
     return class_from_extension(spec.total, spec.embed, spec.projection, spec.modulus, spec.section)
 
 
+def _coboundary_rows(group, q: int, gens) -> np.ndarray:
+    """v-space vectors of ∂δ_g for g ≠ 1 (the coboundary lattice): values on the pairs (x, s∈gens)."""
+    n = group.order
+    d = len(gens)
+    garr = np.arange(n)
+    rows = np.zeros((n, n, d), dtype=np.int64)
+    for k, s in enumerate(gens):
+        xs_col = group.table[:, s]
+        rows[:, :, k] = (garr[:, None] == garr[None, :]).astype(np.int64)
+        rows[s, :, k] += 1
+        rows[:, :, k] -= (garr[:, None] == xs_col[None, :]).astype(np.int64)
+    flat = rows.reshape(n, n * d) % q
+    return np.delete(flat, group.identity, axis=0)
+
+
 def combo_kernel_lattice(source, q: int, cochains, images=None) -> np.ndarray:
     """Coefficient rows y with Σ y_i·(pullback of cochains[i]) a coboundary.
 
@@ -682,22 +696,28 @@ def zero2(group, q: int) -> Cochain2:
     return Cochain2(group, q, np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def _v_rows(space, classes) -> np.ndarray:
+def _v_rows(group, classes) -> np.ndarray:
     """The classes' values c(x, s) on the solver generators, one flattened row each."""
-    width = space._cob_v.shape[1]
-    return np.array([c.values[:, list(space.gens)].reshape(-1) for c in classes], dtype=np.int64).reshape(len(classes), width)
+    gens = list(_solver_gens(group))
+    width = group.order * len(gens)
+    return np.array([c.values[:, gens].reshape(-1) for c in classes], dtype=np.int64).reshape(len(classes), width)
+
+
+def _lattice_stack(space, classes) -> np.ndarray:
+    """The v-rows of ``classes`` above the coboundary lattice of ``space.group``."""
+    g = space.group
+    return np.concatenate([_v_rows(g, classes), _coboundary_rows(g, space.modulus, _solver_gens(g))], axis=0)
 
 
 def express_hand_stacked(space, classes, c):
     """Coefficients y with Σ yᵢ·classesᵢ ≡ c mod B², by one solve on the stack [classes; B²], or None."""
-    stacked = np.concatenate([_v_rows(space, classes), space._cob_v], axis=0)
-    sol = solve(ZqMatrix(stacked.T, space.modulus), _v_rows(space, [c])[0])
+    sol = solve(ZqMatrix(_lattice_stack(space, classes).T, space.modulus), _v_rows(space.group, [c])[0])
     return None if sol is None else sol[: len(classes)]
 
 
-def relations_hand_stacked(space, classes, rows) -> np.ndarray:
-    """Rows y with Σ yᵢ·classesᵢ in the span of ``rows``, by one kernel of the stack [classes; rows]."""
-    stacked = np.concatenate([_v_rows(space, classes), rows], axis=0)
+def relations_hand_stacked(space, classes, span=()) -> np.ndarray:
+    """Rows y with Σ yᵢ·classesᵢ in span(``span``) + B², by one kernel of the stack [classes; span; B²]."""
+    stacked = np.concatenate([_v_rows(space.group, classes), _lattice_stack(space, span)], axis=0)
     return kernel(ZqMatrix(stacked.T, space.modulus)).entries[:, : len(classes)] % space.modulus
 
 
@@ -720,17 +740,21 @@ def nonzero_classes_per_row(space, parts, combos) -> tuple:
     return tuple(out)
 
 
+def coordinate_members_per_representative(sub) -> frozenset:
+    """The class coordinates lying in ``sub``, by building and testing each coordinate tuple's representative."""
+    space = sub.space
+    return frozenset(c for c in space.enumerate_coordinates() if sub.contains(space.representative(c)))
+
+
 def intersection_class_reps_hand_stacked(space, gens_a, gens_b) -> tuple:
     """Representatives generating span(gens_a) ∩ span(gens_b) mod B².
 
-    The reference route: one kernel of the stack [gens_a; B²; gens_b; B²],
+    The reference route: one kernel of the v-space stack [gens_a; gens_b; B²],
     deduplicated row by row.
     """
     if not gens_a or not gens_b:
         return ()
-    b_rows = np.concatenate([_v_rows(space, gens_b), space._cob_v], axis=0)
-    combos = relations_hand_stacked(space, gens_a, np.concatenate([space._cob_v, b_rows], axis=0))
-    return nonzero_classes_per_row(space, gens_a, combos)
+    return nonzero_classes_per_row(space, gens_a, relations_hand_stacked(space, gens_a, gens_b))
 
 
 def five_term_node4_sets(group, sub, q: int):

@@ -1,7 +1,7 @@
 """Cohomology layer tests.
 
 The pc-tails H² solver is pinned against the all-triples brute-force oracle
-and, byte for byte, against the cocycle-lattice route it replaced.
+and against the cocycle-lattice route, class reading by class reading.
 Everything class-level is double-checked through coboundary tests, which run
 on a completely separate (degree-1) solver path.
 """
@@ -1003,20 +1003,46 @@ def test_five_term_quotient_beyond_cap_raises_h2_error():
 @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabeled"])
 @pytest.mark.parametrize("label,build,qs", oracles.SMALL_SOLVABLE, ids=[c[0] for c in oracles.SMALL_SOLVABLE])
 def test_h2_tails_oracle_matches_cocycle_lattice(label, build, qs, relabel):
-    """Same Z² generators, invariant factors, _basis_v bytes and basis cochains."""
+    """The tails frame reads classes as the cocycle lattice does.
+
+    Equal invariant factors.  For basis combinations plus random
+    coboundaries, ``coordinates_of``, ``express``, ``relations`` and the
+    zero verdict agree with the lattice oracle and with ``is_coboundary``.
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
     g = oracles.relabeled(build(), seed=len(label)) if relabel else build()
+    rng = np.random.default_rng(len(label))
     for q in qs:
         space = h2(g, q)
-        zrows, factors, basis_v, values = oracles.h2_cocycle_lattice(g, q)
-        ours = cohomology._cocycle_span(g, q, space._cob_v, space._cob_howell).matrix.entries
-        if ours.shape != zrows.shape or ours.tobytes() != zrows.tobytes():
-            raise AssertionError(f"{label}, q = {q}: Z² generators differ from the lattice kernel")
+        _, factors, _, values = oracles.h2_cocycle_lattice(g, q)
         if space.invariant_factors != factors:
             raise AssertionError(f"{label}, q = {q}: {space.invariant_factors} against {factors}")
-        if space._basis_v.shape != basis_v.shape or space._basis_v.tobytes() != basis_v.tobytes():
-            raise AssertionError(f"{label}, q = {q}: the basis v-vectors differ")
-        if any(not np.array_equal(c.values, v) for c, v in zip(space.basis, values)):
-            raise AssertionError(f"{label}, q = {q}: a basis cochain differs")
+        lattice = [Cochain2(g, q, v) for v in values]
+        f = np.array(factors, dtype=np.int64)
+        classes = []
+        for coords in [(0,) * f.size] + [tuple(int(x) for x in rng.integers(0, f)) for _ in range(3)]:
+            u = rng.integers(0, q, size=g.order)
+            u[g.identity] = 0
+            c = space.representative(coords) + coboundary1(Cochain1(g, q, u))
+            classes.append(c)
+            if space.coordinates_of(c) != coords:
+                raise AssertionError(f"{label}, q = {q}: coordinates_of misreads {coords}")
+            ours, theirs = space.express(lattice, c), oracles.express_hand_stacked(space, lattice, c)
+            if ours is None or theirs is None or not np.array_equal(ours % f, theirs % f):
+                raise AssertionError(f"{label}, q = {q}: express differs from the lattice on {coords}")
+            zero = space.is_zero_class(c)
+            if zero != (is_coboundary(c) is not None) or zero != (not (theirs % f).any()):
+                raise AssertionError(f"{label}, q = {q}: the zero verdict on {coords} differs")
+        rel = space.relations(classes + lattice)
+        theirs = oracles.relations_hand_stacked(space, classes + lattice)
+        if not np.array_equal(howell_form(ZqMatrix(rel, q)).matrix.entries, howell_form(ZqMatrix(theirs, q)).matrix.entries):
+            raise AssertionError(f"{label}, q = {q}: relations differ from the lattice kernel")
+        for row in rel:
+            combo = zero2(g, q)
+            for y, c in zip(row, classes + lattice):
+                combo = combo + c.scale(int(y))
+            if is_coboundary(combo) is None:
+                raise AssertionError(f"{label}, q = {q}: a relation row is not a coboundary")
 
 
 def test_h2_tails_fault_one_wrong_tail_raises(monkeypatch):
@@ -1035,14 +1061,45 @@ def test_h2_tails_fault_one_wrong_tail_raises(monkeypatch):
 
 
 def test_h2_tails_fault_wrong_lift_changes_raise(monkeypatch):
-    """Dropping the lift-change tails B_t breaks the |Z_t/B_t| count, an explicit raise."""
+    """With the lift-change tails B_t dropped, the reader no longer kills B², an explicit raise."""
     g = preset("cyclic", [4])
     pc = pc_presentation(g)
     if not cohomology._lift_change_tails(pc, 2).any():
         raise AssertionError("Z/4 must have a nonzero lift change")
     monkeypatch.setattr(cohomology, "_lift_change_tails", lambda pc, q: np.zeros((pc.length, 3), dtype=np.int64))
-    with pytest.raises(AssertionError, match="Z_t/B_t"):
+    with pytest.raises(AssertionError, match="does not kill a coboundary"):
         h2(g, 2)
+
+
+def test_h2_tails_fault_wrong_reader_coefficient_raises(monkeypatch):
+    """Every tail reader with one wrong coefficient is caught by the coboundary check or the read-back."""
+    g = preset("dihedral4")
+    xs, ys, coef = cohomology._tail_reader(g)
+    for l, k in np.ndindex(*coef.shape):
+        bad = coef.copy()
+        bad[l, k] += 1
+        monkeypatch.setattr(cohomology, "_tail_reader", lambda group: (xs, ys, bad))
+        with pytest.raises(AssertionError, match="does not kill a coboundary|read back"):
+            h2(preset("dihedral4"), 2)
+
+
+def test_h2_class_solves_reject_a_non_cocycle():
+    """express, relations and contains read a class only from a cocycle."""
+    g = preset("dihedral4")
+    space = h2(g, 2)
+    vals = np.zeros((8, 8), dtype=np.int64)
+    others = [x for x in range(8) if x != g.identity]
+    vals[others[0], others[1]] = 1
+    bad = Cochain2(g, 2, vals)
+    calls = [
+        lambda: space.express(space.basis, bad),
+        lambda: space.express([bad], space.basis[0]),
+        lambda: space.relations([bad]),
+        lambda: h2_dec(space).contains(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="expected a degree-2 cocycle"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1152,7 @@ def test_memo_cached_arrays_are_read_only():
     g = preset("heisenberg", [3])
     space = h2(g, 3)
     pc = pc_presentation(g)
-    arrays = (h1(g, 3)._gen_values, _solver_tree(g), space._basis_v, space._cob_v)
+    arrays = (h1(g, 3)._gen_values, _solver_tree(g), space._basis_t, *cohomology._tail_reader(g))
     for arr in arrays + (pc.exponents, pc.power_words, pc.conj_words):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1

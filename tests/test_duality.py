@@ -27,7 +27,9 @@ from qcoh.cohomology import (
     five_term_check,
     h1,
     h2,
+    h2_dec,
     hat_ring,
+    img_bockstein,
     invariants_h1,
     is_coboundary,
     span_of_classes,
@@ -80,7 +82,7 @@ from qcoh.groups import (
     trivial_subgroup,
     whole_group,
 )
-from qcoh.zqlin import ZqMatrix, factor_prime_power, howell_form
+from qcoh.zqlin import ZqMatrix, coset_reduce, factor_prime_power, howell_form
 
 
 @pytest.fixture(scope="module")
@@ -564,9 +566,12 @@ def test_linear_dedupe_matches_per_row_oracle(label, args, q, kind):
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
 def test_express_and_relations_match_hand_stacked_oracle(label, args, q):
-    """H2Space.express/relations and H2Subspace.relations against one solve or kernel of the stack.
+    """H2Space.express/relations and H2Subspace.relations against one solve or kernel of the v-space stack.
 
-    Checked with explicit raises so it also runs under ``python -O``.
+    The tails frame and the coboundary lattice give different generating
+    rows, so relation modules are compared by their Howell forms, and two
+    solutions of one express call must differ by a relation.  Checked with
+    explicit raises so it also runs under ``python -O``.
     """
     g = _group(*args)
     solver = transgression_solver(g, q_central_series(g, q).term(2), q)
@@ -574,21 +579,40 @@ def test_express_and_relations_match_hand_stacked_oracle(label, args, q):
     families = [list(solver.images), list(space.basis)]
     families += [list(triple_of(kind).alpha_image(space).gens) for kind in TRIPLE_KINDS]
     targets = families[0] + families[1] + families[2]
+
+    def span(rows):
+        return howell_form(ZqMatrix(rows, q))
+
     for classes in families:
-        fast = space.relations(classes)
-        slow = oracles.relations_hand_stacked(space, classes, space._cob_v)
-        if fast.shape != slow.shape or fast.tobytes() != slow.tobytes():
+        fast, slow = space.relations(classes), oracles.relations_hand_stacked(space, classes)
+        rel = span(slow)
+        if not np.array_equal(span(fast).matrix.entries, rel.matrix.entries):
             raise AssertionError(f"{label}: H2Space.relations differs from the hand-stacked kernel")
         for c in targets:
             fast, slow = space.express(classes, c), oracles.express_hand_stacked(space, classes, c)
-            if (fast is None) != (slow is None) or (fast is not None and not np.array_equal(fast, slow)):
-                raise AssertionError(f"{label}: express differs from the hand-stacked solve")
+            if (fast is None) != (slow is None):
+                raise AssertionError(f"{label}: express and the hand-stacked solve disagree on solvability")
+            if fast is not None and coset_reduce(rel, fast - slow).any():
+                raise AssertionError(f"{label}: express differs from the hand-stacked solve by a non-relation")
         sub = span_of_classes(space, classes)
         for others in families:
-            fast = sub.relations(others)
-            slow = oracles.relations_hand_stacked(space, others, sub._span.matrix.entries)
-            if fast.shape != slow.shape or fast.tobytes() != slow.tobytes():
+            fast, slow = sub.relations(others), oracles.relations_hand_stacked(space, others, classes)
+            if not np.array_equal(span(fast).matrix.entries, span(slow).matrix.entries):
                 raise AssertionError(f"{label}: H2Subspace.relations differs from the hand-stacked kernel")
+
+
+@pytest.mark.parametrize("label,args,q", POOL)
+def test_coordinate_members_match_per_representative_oracle(label, args, q):
+    """H2Subspace.coordinate_members against building and testing each tuple's representative.
+
+    On the decomposable part, the Bockstein image and every triple's α
+    image.  Checked with explicit raises so it also runs under ``python -O``.
+    """
+    space = h2(_group(*args), q)
+    subs = [h2_dec(space), img_bockstein(space)] + [triple_of(kind).alpha_image(space) for kind in TRIPLE_KINDS]
+    for sub in subs:
+        if sub.coordinate_members() != oracles.coordinate_members_per_representative(sub):
+            raise AssertionError(f"{label}: coordinate members differ from the per-representative route")
 
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)

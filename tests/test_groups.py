@@ -175,6 +175,14 @@ def test_subgroup_validation(d4):
         Subgroup(d4, (d4.identity, r))  # not closed: r has order 4
 
 
+def test_subgroup_rejects_members_outside_the_group():
+    """A negative member would wrap in the mask, and one past the end would index out of it."""
+    g = preset("cyclic", [2])
+    for members in [(0, -1), (0, 2)]:
+        with pytest.raises(ValueError, match="must be element indices"):
+            Subgroup(g, members)
+
+
 def test_power_subgroup_examples(h27, m27):
     z16 = preset("cyclic", [16])
     quarters = power_subgroup(z16, whole_group(z16), 4)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import all_vectors, brute_kernel, brute_solutions, span_closure
-from qcoh.cohomology import _coboundary_rows, _solver_gens
+from oracles import _coboundary_rows, all_vectors, brute_kernel, brute_solutions, span_closure
+from qcoh.cohomology import _solver_gens
 from qcoh.groups import preset
 from qcoh.zqlin import (
     _howell_rows,
