@@ -1100,7 +1100,7 @@ def extension_from_class(base: FiniteGroup, c: Cochain2) -> CentralExtensionSpec
     idx = np.arange(n, dtype=np.int64)
     a_part, x_part = idx // m, idx % m
     av = a_part[:, None] + a_part[None, :] + c.values[np.ix_(x_part, x_part)]
-    table = (av % q) * m + base.table[np.ix_(x_part, x_part)]
+    table = (av % q) * m + base.table[np.ix_(x_part, x_part)].astype(np.int64)
     gens = [int(x) for x in base.generators] + [m * 1 + base.identity if q > 1 else base.identity]
     gen_names = [base.labels[g] for g in base.generators] + ["z"]
     total = FiniteGroup.from_table(

@@ -394,7 +394,7 @@ def _power_products(group: FiniteGroup, gens: Sequence[int], q: int) -> tuple[np
     elems = np.full(exps.shape[0], group.identity, dtype=np.int64)
     for j, g in enumerate(gens):
         powers = np.array([group.power(int(g), e) for e in range(q)], dtype=np.int64)
-        elems = group.table[elems, powers[exps[:, j]]]
+        elems = group.table[elems, powers[exps[:, j]]].astype(np.int64)
     return exps, elems
 
 
@@ -422,7 +422,7 @@ def _level2_frame(group: FiniteGroup, q: int) -> Level2Frame:
     pth = np.full(group.order, group.identity, dtype=np.int64)
     for _ in range(series.p):
         pth = group.table[pth, np.arange(group.order)]
-    if group.order // top.order != (int(np.isin(pth, top.members).sum()) // top.order) ** series.s:
+    if group.order // top.order != (int(top.mask[pth].sum()) // top.order) ** series.s:
         raise NotFreeLevel2("level-2 quotient is not a free module over Z/q")
     solver = transgression_solver(group, top, q)
     Q = solver.data.quotient

@@ -39,7 +39,7 @@ from qcoh.groups import (
     subgroup_closure,
     whole_group,
 )
-from qcoh.groups import _BLOCK_CELLS
+from qcoh.groups import _BLOCK_CELLS, _TABLE_DTYPE, _narrow
 from qcoh.zqlin import factor_prime_power
 
 __all__ = [
@@ -132,7 +132,8 @@ def _sharp_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     sweep past the σ_i letters of the right one and emit [σ_i, σ_j]⁻¹ each.
     A and the shift by f fold into R[a, w, a′] = A[a, a′] + q^d·Zadd[w, f(a, a′)],
     so a block of rows with central parts z is one gather of R at
-    (a, Zadd[z, z′]), written straight into the table.
+    (a, Zadd[z, z′]), written straight into the uint16 table: R is narrowed
+    once, so no n × n int64 array is built.
     """
     pairs = _pair_list(d)
     m = d + len(pairs)
@@ -154,9 +155,9 @@ def _sharp_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     R = zadd[np.arange(nz)[:, None], f[:, None, :]]
     R *= na
     R += A[:, None, :]
-    R = R.reshape(na * nz, na)
+    R = _narrow(R.reshape(na * nz, na), n)
 
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=_TABLE_DTYPE)
     rows_at = np.arange(na, dtype=np.int64)[:, None] * nz
     step = max(1, _BLOCK_CELLS // (na * n))
     for lo in range(0, nz, step):

@@ -9,6 +9,17 @@ and f(x·s) = f(x)·f(s) for every x and generator s is multiplicative, at
 n·|S| cells instead of n².  A subgroup N with s⁻¹Ns ⊆ N for every
 generator s is normal, at |N|·|S| cells instead of n·|N|.
 
+Tables are stored read-only, C-contiguous and uint16: every index below the
+order cap fits, and the all-pairs scans read 2 bytes a cell, not 8.  Every
+table reaches a group through one helper, :func:`_narrow`, which checks the
+entries' range at the input's own width before it casts, since an entry
+such as n + 65536 would wrap to a valid index.  Builders that make a table
+(:func:`quotient`, the presets, ``freemodel``'s sharp table) write uint16
+directly.  A table read that only indexes or is compared for equality stays
+uint16.  One whose values feed arithmetic (``x * n``), a sort, ``unique``,
+``searchsorted``, ``min``/``max``, ``bincount`` or a returned array is
+widened to int64 where it is read.
+
 The scans that must stay all-pairs (Light's test, the closure check of a
 :class:`Subgroup` and :func:`subgroup_closure`) run in row blocks of a fixed
 cell budget, so no temporary outgrows one block; the products they collect
@@ -34,6 +45,7 @@ computed once and kept in a private per-group memo, freed with the group.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -51,6 +63,8 @@ ISO_LIMIT = 512
 NORMAL_ENUM_LIMIT = 64
 #: Cells gathered per row block of an all-pairs scan.
 _BLOCK_CELLS = 1 << 18
+#: Stored dtype of group tables: every index below DEFAULT_MAX_ORDER fits.
+_TABLE_DTYPE = np.uint16
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -88,6 +102,38 @@ __all__ = [
 # construction helpers
 
 
+def _narrow(values: object, n: int) -> np.ndarray:
+    """``values`` as a read-only C-contiguous uint16 array of indices in range(n).
+
+    The one place where element indices are narrowed to the table dtype.  The
+    range check reads the input at its own width, before the cast: an entry
+    such as n + 65536 would wrap to a valid index in uint16.
+    """
+    a = np.asarray(values)
+    if a.dtype != _TABLE_DTYPE:
+        a = np.asarray(a, dtype=np.int64)
+        # one pass: a negative entry reads as at least 2**63 through the unsigned view
+        if a.view(np.uint64).max() >= n:
+            raise ValueError("table entries must be element indices")
+        a = a.astype(_TABLE_DTYPE)
+    elif a.max() >= n:
+        raise ValueError("table entries must be element indices")
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _as_table(table: object) -> np.ndarray:
+    """A square table of an order within the cap, narrowed by :func:`_narrow`."""
+    t = np.asarray(table)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError("multiplication table must be square")
+    n = t.shape[0]
+    if n == 0 or n > DEFAULT_MAX_ORDER:
+        raise ValueError(f"group order must be in [1, {DEFAULT_MAX_ORDER}], got {n}")
+    return _narrow(t, n)
+
+
 def _find_identity(table: np.ndarray) -> int:
     n = table.shape[0]
     idx = np.arange(n)
@@ -121,7 +167,7 @@ def _reachable(table: np.ndarray, identity: int, gens: Sequence[int]) -> np.ndar
     frontier = [identity]
     gens = list(gens)
     while frontier:
-        nxt = np.unique(table[np.ix_(frontier, gens)]) if gens else np.array([], dtype=np.int64)
+        nxt = np.unique(table[np.ix_(frontier, gens)].astype(np.int64)) if gens else np.array([], dtype=np.int64)
         fresh = nxt[~seen[nxt]]
         seen[fresh] = True
         frontier = list(fresh)
@@ -147,7 +193,7 @@ def _row_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterat
     flat = table.reshape(-1)  # a view: group tables are C-contiguous
     step = max(1, _BLOCK_CELLS // max(1, cols.size))
     for lo in range(0, rows.size, step):
-        yield flat[(rows[lo : lo + step] * n)[:, None] + cols]
+        yield flat[(rows[lo : lo + step].astype(np.int64) * n)[:, None] + cols]
 
 
 def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
@@ -225,16 +271,8 @@ class FiniteGroup:
     name: str = "G"
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(self.table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("multiplication table must be square")
+        t = _as_table(self.table)
         n = t.shape[0]
-        if n == 0 or n > DEFAULT_MAX_ORDER:
-            raise ValueError(f"group order must be in [1, {DEFAULT_MAX_ORDER}], got {n}")
-        # one pass: a negative entry reads as at least 2**63 through the unsigned view
-        if t.view(np.uint64).max() >= n:
-            raise ValueError("table entries must be element indices")
-        t.flags.writeable = False
         object.__setattr__(self, "table", t)
         inv = np.asarray(self.inverses, dtype=np.int64)
         inv.flags.writeable = False
@@ -293,6 +331,20 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order {self.order})"
 
+    def _with_labels(self, labels: Sequence[str], name: str) -> "FiniteGroup":
+        """This group under new element labels and name.
+
+        The table, identity, inverses and generators are this group's,
+        verified when it was built; they are shared, not checked again.
+        """
+        labels = tuple(labels)
+        if len(labels) != self.order:
+            raise ValueError("need one label per element")
+        out = copy.copy(self)  # no __post_init__: nothing to verify
+        for attr, value in (("labels", labels), ("name", name), ("_memo", {})):
+            object.__setattr__(out, attr, value)
+        return out
+
     @classmethod
     def from_table(
         cls,
@@ -304,9 +356,7 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         """The group of ``table``; without ``labels``, elements are labeled by
         their BFS words in the generators."""
-        t = np.ascontiguousarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("multiplication table must be square")
+        t = _as_table(table)
         e = _find_identity(t)
         inv = _find_inverses(t, e)
         if generators is None:
@@ -526,7 +576,9 @@ def power_subgroup(group: FiniteGroup, sub: Subgroup, m: int) -> Subgroup:
     acc = np.full(mem.size, group.identity, dtype=np.int64)
     for _ in range(int(m)):
         acc = group.table[acc, mem]
-    return subgroup_closure(group, np.unique(acc))
+    seen = np.zeros(group.order, dtype=bool)
+    seen[acc] = True
+    return _close(group, seen)
 
 
 def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> Subgroup:
@@ -848,16 +900,18 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientData:
         return QuotientData(group, GroupHom(group, group, idx), idx)
     if not normal.is_normal():
         raise ValueError("can only quotient by a normal subgroup")
-    mem = list(normal.members)
+    mem = np.array(normal.members, dtype=np.int64)
     # left cosets xN, canonical representative = smallest member index
-    coset_min = group.table[:, mem].min(axis=1)
+    blocks = _row_blocks(group.table, np.arange(group.order), mem)
+    coset_min = np.concatenate([blk.astype(np.int64).min(axis=1) for blk in blocks])
     reps = np.unique(coset_min)
     coset_index = np.searchsorted(reps, coset_min)
     m = reps.size
-    qt = np.empty((m, m), dtype=np.int64)
+    narrow_index = _narrow(coset_index, m)
+    qt = np.empty((m, m), dtype=_TABLE_DTYPE)
     lo = 0
     for block in _row_blocks(group.table, reps, reps):
-        qt[lo : lo + len(block)] = coset_index[block]
+        qt[lo : lo + len(block)] = narrow_index[block]
         lo += len(block)
 
     gen_images: list[int] = []
@@ -898,7 +952,7 @@ def _extend_gen_images(
     _, position, jumps = tree_jumps
     images = np.append(np.asarray(assignment, dtype=np.int64), target.identity)[position]
     for anc in jumps:
-        images = target.table[images[anc], images]
+        images = target.table[images[anc], images].astype(np.int64)
     return images
 
 
@@ -1005,7 +1059,9 @@ def direct_product(left: FiniteGroup, right: FiniteGroup, name: Optional[str] = 
     if nl * nr > DEFAULT_MAX_ORDER:
         raise ValueError("direct product exceeds the order cap")
     li, ri = np.divmod(np.arange(nl * nr), nr)
-    table = left.table[np.ix_(li, li)] * nr + right.table[np.ix_(ri, ri)]
+    table = left.table[np.ix_(li, li)].astype(np.int64)
+    table *= nr
+    table += right.table[np.ix_(ri, ri)].astype(np.int64)
     # pair (x, y) ↦ index x*nr + y; generators from both factors
     gens = [g * nr + right.identity for g in left.generators]
     gens += [left.identity * nr + g for g in right.generators]
@@ -1027,6 +1083,13 @@ def _cyclic(n: int) -> FiniteGroup:
     return FiniteGroup.from_table(table, generators=gens, gen_names=["g"][: len(gens)], name=f"Z/{n}")
 
 
+def _digit_sums(q: int, d: int) -> np.ndarray:
+    """The q^d × q^d table of digitwise sums mod q of d-digit base-q indices."""
+    radix = q ** np.arange(d, dtype=np.int64)
+    digits = (np.arange(q**d, dtype=np.int64)[:, None] // radix) % q
+    return ((digits[:, None, :] + digits) % q) @ radix
+
+
 def _elementary_abelian(q: int, d: int) -> FiniteGroup:
     """(Z/q)^d; elementary abelian when q is prime, homocyclic in general."""
     from qcoh.zqlin import factor_prime_power
@@ -1035,9 +1098,15 @@ def _elementary_abelian(q: int, d: int) -> FiniteGroup:
     if d < 1 or q**d > DEFAULT_MAX_ORDER:
         raise ValueError("rank must be >= 1 and the order within the cap")
     n = q**d
-    digits = np.array([[(x // q**i) % q for i in range(d)] for x in range(n)], dtype=np.int64)
-    sums = (digits[:, None, :] + digits[None, :, :]) % q
-    table = sums @ (q ** np.arange(d))
+    # index x = x_low + q^k·x_high: the low k digits and the high d − k add apart
+    k = d // 2
+    low, high = _digit_sums(q, k), _digit_sums(q, d - k)
+    x_low, x_high = np.divmod(np.arange(n, dtype=np.int64), q**k)[::-1]
+    table = np.empty((n, n), dtype=_TABLE_DTYPE)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        table[rows] = _narrow(low[x_low[rows, None], x_low] + q**k * high[x_high[rows, None], x_high], n)
     gens = [q**i for i in range(d)]
     names = [f"x{i}" for i in range(d)]
     return FiniteGroup.from_table(table, generators=gens, gen_names=names, name=f"(Z/{q})^{d}")

@@ -253,14 +253,8 @@ def parse_group_document(doc: dict) -> FiniteGroup:
     if labels is not None and not _labels_fit(labels, group.order):
         raise GroupSpecError(f"labels must be {group.order} strings", "$.labels")
     if labels is not None and kind != "table":
-        group = FiniteGroup(
-            group.table,
-            group.identity,
-            group.inverses,
-            group.generators,
-            tuple(labels),
-            str(doc.get("name", group.name)),
-        )
+        # the group was verified as built; labels and name only are attached
+        group = group._with_labels(labels, str(doc.get("name", group.name)))
     return group
 
 

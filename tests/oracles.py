@@ -373,19 +373,15 @@ def labels_by_words(n: int, identity: int, tree, gen_names) -> tuple[str, ...]:
 def quotient_by_cosets(group, normal) -> QuotientData:
     """G/N built from its coset table, for every N including N = 1: cosets
     xN named by their smallest member, the table coset_index[reps × reps]
-    verified by ``from_table``, and the projection's kernel and image checked."""
+    verified by ``from_table``, and the projection's kernel and image checked.
+    The whole table is read at int64, with no row blocks."""
     if not normal.is_normal():
         raise ValueError("can only quotient by a normal subgroup")
-    mem = list(normal.members)
-    coset_min = group.table[:, mem].min(axis=1)
+    t = group.table.astype(np.int64)
+    coset_min = t[:, list(normal.members)].min(axis=1)
     reps = np.unique(coset_min)
     coset_index = np.searchsorted(reps, coset_min)
-    m = reps.size
-    qt = np.empty((m, m), dtype=np.int64)
-    lo = 0
-    for block in _row_blocks(group.table, reps, reps):
-        qt[lo : lo + len(block)] = coset_index[block]
-        lo += len(block)
+    qt = coset_index[t[np.ix_(reps, reps)]]
     gen_images: list[int] = []
     gen_names: list[str] = []
     for g in group.generators:
@@ -897,7 +893,7 @@ def h2_linear_forms(group, q: int):
         if seen[w]:
             continue
         seen[w] = True
-        xy = group.table[:, y]
+        xy = group.table[:, y].astype(np.int64)
         L[:, w, :] = L[:, y, :]
         L[xs, w, xy * d + k] += 1
         L[:, w, y * d + k] -= 1
@@ -918,7 +914,7 @@ def h2_constraint_rows(group, q: int, L, gens):
             w = int(ws[y])
             rows = (L[:, w, :] - L[:, y, :]).copy()
             rows[:, y * d + k] += 1
-            xy = group.table[:, y]
+            xy = group.table[:, y].astype(np.int64)
             rows[xs, xy * d + k] -= 1
             blocks.append(rows % q)
     stacked = np.unique(np.concatenate(blocks, axis=0), axis=0)

@@ -136,6 +136,29 @@ def test_labeled_table_document_verified_once(monkeypatch):
     assert group_to_document(g) == doc
 
 
+@pytest.mark.parametrize(
+    "body",
+    [{"preset": {"name": "cyclic", "params": [4]}}, {"permutations": {"degree": 4, "generators": [[2, 3, 4, 1]]}}],
+    ids=["preset", "permutations"],
+)
+def test_labeled_preset_and_permutation_documents_verified_once(body, monkeypatch):
+    """A labeled preset or permutations document is Light-tested once: the
+    labels and name are attached to the group as built, not by a second
+    build.  Explicit raises, so it also checks under ``python -O``."""
+    import qcoh.groups as groups_mod
+
+    calls = []
+    real = groups_mod._check_associative
+    monkeypatch.setattr(groups_mod, "_check_associative", lambda *a: calls.append(1) or real(*a))
+    g = parse_group_document({**body, "name": "C4", "labels": ["e", "x", "x2", "x3"]})
+    if len(calls) != 1:
+        raise AssertionError(f"Light's test ran {len(calls)} times")
+    if g.labels != ("e", "x", "x2", "x3") or g.name != "C4" or g.table.flags.writeable:
+        raise AssertionError(f"labels {g.labels}, name {g.name!r}")
+    if not is_isomorphic(g, preset("cyclic", [4])):
+        raise AssertionError("the labeled document must still be Z/4")
+
+
 def test_labeled_non_associative_table_rejected_at_table():
     # a Latin square with identity 0 and self-inverse rows: a loop, not a group
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

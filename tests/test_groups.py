@@ -477,13 +477,54 @@ def test_whole_group_matches_full_closure_check(spec):
             Subgroup(g, [x for x in g.elements() if x != missing])
 
 
-@pytest.mark.parametrize("entry", [-1, 4, np.iinfo(np.int64).min, np.iinfo(np.int64).max], ids=["-1", "n", "int64-min", "int64-max"])
+@pytest.mark.parametrize(
+    "entry",
+    [-1, 4, 4 + 65536, 3 + 65536, -65535, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+    ids=["-1", "n", "n+65536", "wraps-to-product", "-65535", "int64-min", "int64-max"],
+)
 def test_table_range_rejects_non_indices(entry):
+    """The range is checked on the wide input, before the table is narrowed
+    to uint16: 3 + 65536 wraps to 3, the true product 1·2 in Z/4, and −65535
+    wraps to 1.  Explicit raises, so it also checks under ``python -O``."""
     z4 = preset("cyclic", [4])
-    bad = z4.table.copy()
+    bad = z4.table.astype(np.int64)
     bad[1, 2] = entry
     with pytest.raises(ValueError, match="table entries must be element indices"):
         FiniteGroup(bad, z4.identity, z4.inverses, z4.generators, z4.labels)
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        FiniteGroup.from_table(bad)
+
+
+def test_table_range_rejects_narrow_non_indices():
+    """A table that is uint16 already is range-checked as it is."""
+    z4 = preset("cyclic", [4])
+    bad = z4.table.copy()
+    bad[1, 2] = 4
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        FiniteGroup(bad, z4.identity, z4.inverses, z4.generators, z4.labels)
+
+
+@pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+def test_narrowing_stores_read_only_uint16_tables(spec):
+    """Every route to a group stores its table as read-only C-contiguous
+    uint16: presets, sharp models, quotients, subgroups as groups, direct
+    products, extensions and the documents' own lists.  Explicit raises, so it
+    also checks under ``python -O``."""
+    from qcoh.cohomology import extension_from_class, h2
+    from qcoh.report import group_to_document, parse_group_document
+
+    g = _pool_group(spec)
+    made = [g, parse_group_document(group_to_document(g)), direct_product(g, preset("cyclic", [2]))]
+    series = q_central_series(g, 2)
+    made += [quotient(g, series.term(2)).quotient, groups.subgroup_as_group(series.term(2))]
+    if g.order <= 16:
+        space = h2(g, 2)
+        if space.basis:
+            made.append(extension_from_class(g, space.basis[-1]).total)
+    for grp in made:
+        t = grp.table
+        if t.dtype != np.uint16 or not t.flags.c_contiguous or t.flags.writeable:
+            raise AssertionError(f"{grp.name}: table is {t.dtype}, contiguous {t.flags.c_contiguous}, writeable {t.flags.writeable}")
 
 
 def _permutation_group(perms: list, name: str) -> FiniteGroup:
@@ -774,6 +815,79 @@ def test_blocked_commutators_past_the_central_first_rows(d4):
     expected = tuple(256 * x for x in commutator_subgroup(d4, whole_group(d4), whole_group(d4)).members)
     if comm.members != expected:
         raise AssertionError(f"wrong commutator subgroup {comm.members}")
+
+
+# ---------------------------------------------------------------------------
+# overflow at the order cap: index arithmetic in int64 on uint16 tables
+
+
+@pytest.fixture(scope="module")
+def z2_12():
+    """(Z/2)^12, order 4096 = DEFAULT_MAX_ORDER: x·n overflows uint16 for every x ≥ 16."""
+    g = preset("elementary_abelian", [2, 12])
+    if g.order != groups.DEFAULT_MAX_ORDER:
+        raise AssertionError("the overflow tests need a group at the order cap")
+    return g
+
+
+def _orders_by_loop(table: np.ndarray, identity: int) -> list[int]:
+    out = []
+    for x in range(table.shape[0]):
+        acc, k = x, 1
+        while acc != identity:
+            acc, k = int(table[acc, x]), k + 1
+        out.append(k)
+    return out
+
+
+def _check_quotient_against_coset_oracle(g: FiniteGroup, normal: Subgroup) -> None:
+    data = quotient(g, normal)
+    slow = oracles.quotient_by_cosets(g, normal)
+    np.testing.assert_array_equal(data.quotient.table, slow.quotient.table)
+    np.testing.assert_array_equal(data.projection.images, slow.projection.images)
+    np.testing.assert_array_equal(data.coset_reps, slow.coset_reps)
+    if data.quotient.generators != slow.quotient.generators:
+        raise AssertionError("the quotient must keep the oracle's generators")
+
+
+def test_overflow_at_order_cap_quotient_matches_coset_oracle(z2_12):
+    """(Z/2)^12 modulo the low and the high six coordinates: the coset minima
+    and the rows of the blocked scans reach 4032, and the oracle reads the
+    whole table at int64.  Explicit raises, so it also checks under ``python -O``."""
+    g = z2_12
+    for bits in (range(6), range(6, 12)):
+        normal = subgroup_closure(g, [1 << i for i in bits])
+        if normal.order != 64:
+            raise AssertionError("each normal subgroup must have order 64")
+        _check_quotient_against_coset_oracle(g, normal)
+
+
+def test_overflow_at_order_cap_closure_and_orders_match_oracles(z2_12):
+    """subgroup_closure and element_orders at |G| = 4096 against the pairwise
+    closure and the multiplication loop on the int64 table."""
+    g = z2_12
+    wide = g.table.astype(np.int64)
+    for seeds in ([1 << i for i in range(6, 12)], [4095, 2730], [4032, 63]):
+        got = subgroup_closure(g, seeds).members
+        want = tuple(sorted(oracles.closure_of(wide, g.identity, seeds)))
+        if got != want:
+            raise AssertionError(f"closure of {seeds}: {len(got)} members, oracle {len(want)}")
+    if element_orders(g).tolist() != _orders_by_loop(wide, g.identity):
+        raise AssertionError("element orders at the cap disagree with the loop")
+
+
+def test_overflow_at_order_cap_sharp_build_matches_oracles():
+    """sharp(2,5), |G| = 3125, as the order-cap benchmark builds it: the stored
+    table equals collection, element orders equal the loop's, and each
+    quotient by its series terms equals the coset oracle's."""
+    g = free_level3(2, 5).group
+    wide = g.table.astype(np.int64)
+    np.testing.assert_array_equal(wide, oracles.sharp_table_by_collection(2, 5)[0])
+    if element_orders(g).tolist() != _orders_by_loop(wide, g.identity):
+        raise AssertionError("element orders of sharp(2,5) disagree with the loop")
+    series = q_central_series(g, 5)
+    for normal in (series.term(2), series.lower3, series.term(3)):
+        _check_quotient_against_coset_oracle(g, normal)
 
 
 # ---------------------------------------------------------------------------
