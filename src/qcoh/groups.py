@@ -193,7 +193,7 @@ def _row_blocks(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterat
     flat = table.reshape(-1)  # a view: group tables are C-contiguous
     step = max(1, _BLOCK_CELLS // max(1, cols.size))
     for lo in range(0, rows.size, step):
-        yield flat[(rows[lo : lo + step].astype(np.int64) * n)[:, None] + cols]
+        yield flat[(rows[lo : lo + step].astype(np.int64, copy=False) * n)[:, None] + cols]
 
 
 def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
