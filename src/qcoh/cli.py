@@ -5,7 +5,10 @@ free-model, reconstruct, verify.  Groups come from ``--preset name --params
 k=v ...`` or from a JSON document via ``--group path`` (one of ``preset`` /
 ``permutations`` / ``table``).  Reports render as markdown or JSON; exit
 codes: 0 all checks pass, 1 at least one failed, 2 usage or input error,
-3 only hypothesis-not-met outcomes.
+3 only hypothesis-not-met outcomes.  Every record comes from one runner,
+``_check``, which times its check and turns a cap into SKIPPED, a level-2
+quotient that is not free into HYPOTHESIS_NOT_MET and a failed internal
+cross-check into FAIL.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .duality import (
     NotFreeLevel2,
     _identify_small,
 )
-from .errors import VerificationError
 from .freemodel import canonical_basis, free_level3, normal_form_roundtrip
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -136,14 +138,41 @@ def _theorem_d_status(rep: Lower3Report) -> str:
     return FAIL if rep.relation_type.passes else HYPOTHESIS_NOT_MET
 
 
-def _timed(record_adder, name: str, fn: Callable[[], tuple[str, str, Optional[dict]]]):
-    """Run one check, catching cap/hypothesis errors into the record."""
+def _check(report: Report, names: Union[str, tuple[str, ...]], fn: Callable[[], Any]) -> bool:
+    """Run one check body, time it and add its records; True if the body finished.
+
+    For a single name ``fn`` returns one (status, details, machine) outcome,
+    or None for no record; for a tuple of names it returns one outcome per
+    name, and the records share the measured time evenly.  An exception
+    gives every name the same record: an AssertionError (any failed internal
+    cross-check, VerificationError included) is FAIL with the exception's
+    ``evidence`` as machine data; NotFreeLevel2 is a single HYPOTHESIS_NOT_MET
+    record named after the hypothesis, ``level2-frame``; any other ValueError
+    (a cap) is SKIPPED.
+    """
+    single = isinstance(names, str)
+    names = (names,) if single else names
+    finished = False
     start = time.perf_counter()
     try:
-        status, details, machine = fn()
+        outcomes = [fn()] if single else fn()
+        finished = True
+    except NotFreeLevel2 as exc:
+        names, outcomes = ("level2-frame",), [(HYPOTHESIS_NOT_MET, str(exc), None)]
     except ValueError as exc:
-        status, details, machine = SKIPPED, str(exc), None
-    record_adder(name, status, details, time.perf_counter() - start, machine)
+        outcomes = [(SKIPPED, str(exc), None)] * len(names)
+    except AssertionError as exc:
+        outcomes = [(FAIL, str(exc), getattr(exc, "evidence", None))] * len(names)
+    share = (time.perf_counter() - start) / len(names)
+    for name, outcome in zip(names, outcomes):
+        if outcome is not None:
+            status, details, machine = outcome
+            report.add(name, status, details, share, machine)
+    return finished
+
+
+def _verdict(ok: bool, details: str) -> tuple[str, str, None]:
+    return PASS if ok else FAIL, details, None
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +188,28 @@ def cmd_series(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     except ValueError as exc:
         raise UsageError(str(exc))
     orders = [t.order for t in series.terms[: series.stabilized_at]]
-    report.add(
-        "series-terms",
+    _check(report, "series-terms", lambda: (
         PASS,
         f"orders {orders}, stabilized at depth {series.stabilized_at}",
-        machine={"orders": orders, "stabilized_at": series.stabilized_at},
-    )
-    report.add(
-        "level3-refinement",
+        {"orders": orders, "stabilized_at": series.stabilized_at},
+    ))
+    _check(report, "level3-refinement", lambda: (
         PASS,
         f"order {series.lower3.order}",
-        machine={"order": series.lower3.order, "members": list(series.lower3.members)},
-    )
+        {"order": series.lower3.order, "members": list(series.lower3.members)},
+    ))
+
+    def quotient_profile(sub):
+        quo = quotient(group, sub).quotient
+        profile = order_profile(quo)
+        return PASS, f"order {quo.order}, element orders {profile}", {"order": quo.order, "profile": profile}
+
     for label, sub in (
         ("quotient-level2", series.term(2)),
         ("quotient-level3", series.term(3)),
         ("quotient-refined3", series.lower3),
     ):
-        qd = quotient(group, sub)
-        profile = order_profile(qd.quotient)
-        report.add(
-            label,
-            PASS,
-            f"order {qd.quotient.order}, element orders {profile}",
-            machine={"order": qd.quotient.order, "profile": profile},
-        )
+        _check(report, label, lambda: quotient_profile(sub))
     return report
 
 
@@ -191,55 +217,45 @@ def cmd_cohomology(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
-    degrees = (1, 2) if args.deg == "both" else (int(args.deg),)
-    if 1 in degrees:
+    cap = args.h2_cap
+
+    def h1_basis():
         h1s = h1(group, q)
-        report.add(
-            "h1-basis",
+        return PASS, f"invariant factors {h1s.invariant_factors}", {
+            "invariant_factors": list(h1s.invariant_factors),
+            "basis_values": [chi.values for chi in h1s.basis],
+        }
+
+    # H² is kept on the group, so each check below reads the same space
+    def h2_basis():
+        space = h2(group, q, cap=cap)
+        return PASS, f"invariant factors {space.invariant_factors}", {"invariant_factors": list(space.invariant_factors)}
+
+    def decomposable():
+        space = h2(group, q, cap=cap)
+        dec = h2_dec(space)
+        return PASS, f"order {dec.order} of {space.order}", {"order": dec.order}
+
+    def bockstein():
+        bock = img_bockstein(h2(group, q, cap=cap))
+        return PASS, f"order {bock.order}", {"order": bock.order}
+
+    def quadratic():
+        ring = hat_ring(group, q, cap=cap)
+        verdict = ring.quadratic2
+        return (
             PASS,
-            f"invariant factors {h1s.invariant_factors}",
-            machine={
-                "invariant_factors": list(h1s.invariant_factors),
-                "basis_values": [chi.values for chi in h1s.basis],
-            },
+            "cup map identifies the degree-2 tensor quotient with the "
+            f"decomposable part: {str(verdict).lower()}",
+            {"quadratic": verdict, "dec_order": ring.dec_order},
         )
-    if 2 in degrees:
-        space = None
 
-        def _h2():
-            nonlocal space
-            space = h2(group, q, cap=args.h2_cap)
-            return (
-                PASS,
-                f"invariant factors {space.invariant_factors}",
-                {"invariant_factors": list(space.invariant_factors)},
-            )
-
-        _timed(report.add, "h2-basis", _h2)
-        if space is not None:
-            dec = h2_dec(space)
-            bock = img_bockstein(space)
-            report.add(
-                "h2-decomposable",
-                PASS,
-                f"order {dec.order} of {space.order}",
-                machine={"order": dec.order},
-            )
-            report.add(
-                "img-bockstein",
-                PASS,
-                f"order {bock.order}",
-                machine={"order": bock.order},
-            )
-            ring = hat_ring(group, q, cap=args.h2_cap)
-            verdict = ring.quadratic2
-            report.add(
-                "quadratic-degree2",
-                PASS,
-                "cup map identifies the degree-2 tensor quotient with the "
-                f"decomposable part: {str(verdict).lower()}",
-                machine={"quadratic": verdict, "dec_order": ring.dec_order},
-            )
+    if args.deg in ("1", "both"):
+        _check(report, "h1-basis", h1_basis)
+    if args.deg in ("2", "both") and _check(report, "h2-basis", h2_basis):
+        _check(report, "h2-decomposable", decomposable)
+        _check(report, "img-bockstein", bockstein)
+        _check(report, "quadratic-degree2", quadratic)
     return report
 
 
@@ -247,23 +263,25 @@ def cmd_pairing(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
-    top = q_central_series(group, q).term(2)
-    floor = triple_of(args.triple).floor(group, q) if args.triple else None
-    sp = substitution_pairing(group, q, top, floor)
-    rep = sp.report
-    report.add(
-        "substitution-pairing",
-        PASS if sp.perfect else FAIL,
-        f"left order {rep.left_order}, right order {rep.right_order}, "
-        f"perfect: {sp.perfect}",
-        machine={
-            "matrix": rep.matrix.entries,
-            "left_order": rep.left_order,
-            "right_order": rep.right_order,
-            "perfect": sp.perfect,
-            "floor_members": list(sp.module.floor.members),
-        },
-    )
+
+    def pairing():
+        top = q_central_series(group, q).term(2)
+        floor = triple_of(args.triple).floor(group, q) if args.triple else None
+        sp = substitution_pairing(group, q, top, floor)
+        rep = sp.report
+        return (
+            PASS if sp.perfect else FAIL,
+            f"left order {rep.left_order}, right order {rep.right_order}, perfect: {sp.perfect}",
+            {
+                "matrix": rep.matrix.entries,
+                "left_order": rep.left_order,
+                "right_order": rep.right_order,
+                "perfect": sp.perfect,
+                "floor_members": list(sp.module.floor.members),
+            },
+        )
+
+    _check(report, "substitution-pairing", pairing)
     return report
 
 
@@ -272,8 +290,20 @@ def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
     tri = triple_of(args.triple or "dec-cup")
-    top = tri.top(group, q)
-    floor = tri.floor(group, q)
+
+    def conditions():
+        top = tri.top(group, q)
+        floor = tri.floor(group, q)
+        rep = duality_conditions(group, q, top, floor, tri.alpha_image)
+        report.extras["duality"] = {
+            "triple": tri.kind,
+            "top_order": top.order,
+            "floor_order": floor.order,
+            "annihilator_members": list(rep.annihilator.members),
+            "substituted": rep.substituted,
+        }
+        return [_verdict(verdict, str(verdict)) for verdict in rep.as_tuple()]
+
     names = (
         "kernel-matches-preimage",
         "exact-through-coefficients",
@@ -282,83 +312,51 @@ def cmd_duality_check(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         "annihilator-is-floor",
         "lift-kernels-meet-floor",
     )
-    start = time.perf_counter()
-    try:
-        rep = duality_conditions(group, q, top, floor, tri.alpha_image)
-    except ValueError as exc:
-        elapsed = time.perf_counter() - start
-        for name in names:
-            report.add(name, SKIPPED, str(exc), timing=elapsed / 6)
-        return report
-    except VerificationError as exc:
-        elapsed = time.perf_counter() - start
-        for name in names:
-            report.add(name, FAIL, str(exc), elapsed / 6, exc.evidence)
-        return report
-    elapsed = time.perf_counter() - start
-    for name, verdict in zip(names, rep.as_tuple()):
-        report.add(name, PASS if verdict else FAIL, str(verdict), timing=elapsed / 6)
-    report.extras["duality"] = {
-        "triple": tri.kind,
-        "top_order": top.order,
-        "floor_order": floor.order,
-        "annihilator_members": list(rep.annihilator.members),
-        "substituted": rep.substituted,
-    }
+    _check(report, names, conditions)
     return report
 
 
 def cmd_theorem_d(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     group = _resolve_group(args)
-    if args.p is None:
+    p = args.p
+    if p is None:
         raise UsageError("--p is required for theorem-d")
     try:
-        if factor_prime_power(args.p)[1] != 1:
-            raise ValueError(f"--p must be a prime, got {args.p}")
+        if factor_prime_power(p)[1] != 1:
+            raise ValueError(f"--p must be a prime, got {p}")
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = Report(tuple(argv), q=args.p)
-    start = time.perf_counter()
-    try:
-        grt = galois_relation_type(group, args.p)
-    except ValueError as exc:
-        for name in ("relation-type", "intersection-equals-refined3"):
-            report.add(name, SKIPPED, str(exc))
-        return report
-    split = time.perf_counter()
-    report.add(
-        "relation-type",
-        PASS if grt.passes else HYPOTHESIS_NOT_MET,
-        f"free level-2: {grt.free_level2}, Bockstein-by-cup: {grt.bockstein_by_cup}, "
-        f"kernel cup-generated: {grt.kernel_cup_generated}",
-        timing=split - start,
-        machine={
-            "free_level2": grt.free_level2,
-            "bockstein_by_cup": grt.bockstein_by_cup,
-            "kernel_cup_generated": grt.kernel_cup_generated,
-        },
-    )
+    report = Report(tuple(argv), q=p)
+
+    def relation_type():
+        grt = galois_relation_type(group, p)
+        return (
+            PASS if grt.passes else HYPOTHESIS_NOT_MET,
+            f"free level-2: {grt.free_level2}, Bockstein-by-cup: {grt.bockstein_by_cup}, "
+            f"kernel cup-generated: {grt.kernel_cup_generated}",
+            {
+                "free_level2": grt.free_level2,
+                "bockstein_by_cup": grt.bockstein_by_cup,
+                "kernel_cup_generated": grt.kernel_cup_generated,
+            },
+        )
+
     # the relation type is kept on the group, so the check reuses it
-    try:
-        rep = lower3_intersection_check(group, args.p)
-    except ValueError as exc:
-        report.add("intersection-equals-refined3", SKIPPED, str(exc))
-        return report
-    except VerificationError as exc:
-        report.add("intersection-equals-refined3", FAIL, str(exc), time.perf_counter() - split, exc.evidence)
-        return report
-    report.add(
-        "intersection-equals-refined3",
-        _theorem_d_status(rep),
-        f"refined level-3 order {rep.lower3.order}, intersection order "
-        f"{rep.intersection.order}, equal: {rep.equal}",
-        timing=time.perf_counter() - split,
-        machine={
-            "lower3_members": list(rep.lower3.members),
-            "intersection_members": list(rep.intersection.members),
-            "equal": rep.equal,
-        },
-    )
+    def intersection():
+        rep = lower3_intersection_check(group, p)
+        return (
+            _theorem_d_status(rep),
+            f"refined level-3 order {rep.lower3.order}, intersection order "
+            f"{rep.intersection.order}, equal: {rep.equal}",
+            {
+                "lower3_members": list(rep.lower3.members),
+                "intersection_members": list(rep.intersection.members),
+                "equal": rep.equal,
+            },
+        )
+
+    _check(report, "relation-type", relation_type)
+    _check(report, "intersection-equals-refined3", intersection)
     return report
 
 
@@ -377,28 +375,24 @@ def cmd_reconstruct(args: argparse.Namespace, argv: Sequence[str]) -> Report:
     q = _resolve_q(args)
     report = Report(tuple(argv), q=q)
     tri = triple_of(args.triple or "dec-cup")
-    try:
+
+    def reconstruction():
         rows, rec, target, ok = _reconstruction(group, q, tri)
-    except NotFreeLevel2 as exc:
-        report.add("level2-frame", HYPOTHESIS_NOT_MET, str(exc))
-        return report
-    except ValueError as exc:
-        report.add("reconstruction-isomorphic", SKIPPED, str(exc))
-        return report
-    report.add(
-        "reconstruction-isomorphic",
-        PASS if ok else FAIL,
-        f"reconstruction isomorphic: {str(ok).lower()} "
-        f"(rebuilt order {rec.group.order}, expected order {target.order})",
-        machine={
-            "kernel_rows": rows,
-            "model_order": rec.model_group.order,
-            "annihilator_order": rec.annihilator.order,
-            "rebuilt_order": rec.group.order,
-            "target_order": target.order,
-            "isomorphic": ok,
-        },
-    )
+        return (
+            PASS if ok else FAIL,
+            f"reconstruction isomorphic: {str(ok).lower()} "
+            f"(rebuilt order {rec.group.order}, expected order {target.order})",
+            {
+                "kernel_rows": rows,
+                "model_order": rec.model_group.order,
+                "annihilator_order": rec.annihilator.order,
+                "rebuilt_order": rec.group.order,
+                "target_order": target.order,
+                "isomorphic": ok,
+            },
+        )
+
+    _check(report, "reconstruction-isomorphic", reconstruction)
     return report
 
 
@@ -411,25 +405,23 @@ def cmd_free_model(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         model = free_level3(args.d, q, args.variant)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report.add(
-        "model",
+    group = model.group
+    _check(report, "model", lambda: (
         PASS,
-        f"{args.variant} model on {args.d} generator(s): order {model.group.order}",
-        machine={
-            "order": model.group.order,
+        f"{args.variant} model on {args.d} generator(s): order {group.order}",
+        {
+            "order": group.order,
             "power_labels": list(model.power_labels),
             "commutator_labels": list(model.commutator_labels),
         },
-    )
-    for x in model.group.elements():
-        normal_form_roundtrip(model, x)  # raises if reassembly drifts
-    report.add(
-        "normal-form-roundtrip",
-        PASS,
-        f"coordinates reproduce all {model.group.order} elements",
-    )
+    ))
 
-    def _basis():
+    def roundtrip():
+        for x in group.elements():
+            normal_form_roundtrip(model, x)  # raises if reassembly drifts
+        return PASS, f"coordinates reproduce all {group.order} elements", None
+
+    def basis():
         basis = canonical_basis(model)
         return (
             PASS,
@@ -437,22 +429,21 @@ def cmd_free_model(args: argparse.Namespace, argv: Sequence[str]) -> Report:
             {"elements": list(basis.elements), "labels": list(basis.labels)},
         )
 
-    _timed(report.add, "canonical-basis", _basis)
-    if model.group.order <= 512:
-        name = _identify_small(model.group, q)
-        if name is not None:
-            report.add(
-                "isomorphism-type",
-                PASS,
-                f"isomorphic to {name}: true",
-                machine={"name": name},
-            )
-    if args.emit:
-        doc = group_to_document(model.group)
+    def named():
+        name = _identify_small(group, q) if group.order <= 512 else None
+        return None if name is None else (PASS, f"isomorphic to {name}: true", {"name": name})
+
+    def emit():
         with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            json.dump(group_to_document(group), fh, sort_keys=True)
             fh.write("\n")
-        report.add("emitted", PASS, f"group document written to {args.emit}")
+        return PASS, f"group document written to {args.emit}", None
+
+    _check(report, "normal-form-roundtrip", roundtrip)
+    _check(report, "canonical-basis", basis)
+    _check(report, "isomorphism-type", named)
+    if args.emit:
+        _check(report, "emitted", emit)
     return report
 
 
@@ -484,7 +475,13 @@ class _GroupTable(dict):
         return group
 
 
-def _suite_linalg(report: Report, groups: _GroupTable) -> None:
+# A suite yields (record name, check body) pairs.  ``cmd_verify`` runs each
+# body before the suite resumes, so a body may read the loop variables, and
+# a group first built inside a body counts towards that body's time.
+_Case = tuple[str, Callable[[], Any]]
+
+
+def _linalg_selfchecks() -> tuple[str, str, dict]:
     rng = np.random.default_rng(20260816)
     bad = 0
     total = 0
@@ -507,38 +504,50 @@ def _suite_linalg(report: Report, groups: _GroupTable) -> None:
             h = howell_form(m)
             if not all(row_span_contains(h, r) for r in m.entries):
                 bad += 1
-    report.add(
-        "linalg-selfchecks",
+    return (
         PASS if bad == 0 else FAIL,
         f"{total - bad}/{total} random solvable systems verified "
         "(solve residual, kernel annihilation, span preservation)",
-        machine={"total": total, "failures": bad},
+        {"total": total, "failures": bad},
     )
 
 
-def _suite_dual_basis(report: Report, groups: _GroupTable) -> None:
+def _suite_linalg(groups: _GroupTable) -> Iterator[_Case]:
+    yield "linalg-selfchecks", _linalg_selfchecks
+
+
+def _dual_basis_case(d: int, q: int) -> tuple[str, str, None]:
+    rep = dual_basis_check(d, q)
+    return _verdict(
+        rep.identity and rep.formulas_match,
+        f"identity: {rep.identity}, closed formulas agree: {rep.formulas_match}",
+    )
+
+
+def _suite_dual_basis(groups: _GroupTable) -> Iterator[_Case]:
     for d, q in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2)):
-        rep = dual_basis_check(d, q)
-        ok = rep.identity and rep.formulas_match
-        report.add(
-            f"dual-basis-{d}-{q}",
-            PASS if ok else FAIL,
-            f"identity: {rep.identity}, closed formulas agree: {rep.formulas_match}",
-        )
+        yield f"dual-basis-{d}-{q}", lambda: _dual_basis_case(d, q)
 
 
-def _suite_local_global(report: Report, groups: _GroupTable) -> None:
+def _local_global_case(d: int, q: int) -> tuple[str, str, None]:
+    rep = local_global_check(d, q)
+    return _verdict(
+        rep.matches and rep.coefficient_route,
+        f"{rep.checked} classes checked, equivalence holds: {rep.matches}",
+    )
+
+
+def _suite_local_global(groups: _GroupTable) -> Iterator[_Case]:
     for d, q in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4)):
-        rep = local_global_check(d, q)
-        ok = rep.matches and rep.coefficient_route
-        report.add(
-            f"local-global-{d}-{q}",
-            PASS if ok else FAIL,
-            f"{rep.checked} classes checked, equivalence holds: {rep.matches}",
-        )
+        yield f"local-global-{d}-{q}", lambda: _local_global_case(d, q)
 
 
-def _suite_duality(report: Report, groups: _GroupTable) -> None:
+def _duality_case(group: FiniteGroup, q: int, tri: DualityTriple) -> tuple[str, str, None]:
+    rep = duality_conditions(group, q, tri.top(group, q), tri.floor(group, q), tri.alpha_image)
+    return _verdict(rep.as_tuple() == (True,) * 6, f"six conditions: {rep.as_tuple()}")
+
+
+def _suite_duality(groups: _GroupTable) -> Iterator[_Case]:
     cases = [
         ("dihedral4", "dihedral4", 2),
         ("quaternion8", "quaternion8", 2),
@@ -551,25 +560,20 @@ def _suite_duality(report: Report, groups: _GroupTable) -> None:
         ("flat23", "flat23", 3),
     ]
     for label, name, q in cases:
-        group = groups[name]
         for kind in TRIPLE_KINDS:
-            tri = triple_of(kind)
-            try:
-                rep = duality_conditions(
-                    group, q, tri.top(group, q), tri.floor(group, q), tri.alpha_image
-                )
-            except VerificationError as exc:
-                report.add(f"duality-{label}-{kind}", FAIL, str(exc), machine=exc.evidence)
-                continue
-            ok = rep.as_tuple() == (True,) * 6
-            report.add(
-                f"duality-{label}-{kind}",
-                PASS if ok else FAIL,
-                f"six conditions: {rep.as_tuple()}",
-            )
+            yield f"duality-{label}-{kind}", lambda: _duality_case(groups[name], q, triple_of(kind))
 
 
-def _suite_theorem_d(report: Report, groups: _GroupTable) -> None:
+def _theorem_d_case(group: FiniteGroup, p: int) -> tuple[str, str, None]:
+    rep = lower3_intersection_check(group, p)
+    return (
+        _theorem_d_status(rep),
+        f"equal: {rep.equal}, relation type passes: {rep.relation_type.passes}",
+        None,
+    )
+
+
+def _suite_theorem_d(groups: _GroupTable) -> Iterator[_Case]:
     cases = [
         ("heisenberg3", 3),
         ("modular3", 3),
@@ -583,21 +587,15 @@ def _suite_theorem_d(report: Report, groups: _GroupTable) -> None:
         ("sharp22", 2),
     ]
     for label, p in cases:
-        start = time.perf_counter()
-        try:
-            rep = lower3_intersection_check(groups[label], p)
-        except VerificationError as exc:
-            report.add(f"theorem-d-{label}", FAIL, str(exc), time.perf_counter() - start, exc.evidence)
-            continue
-        report.add(
-            f"theorem-d-{label}",
-            _theorem_d_status(rep),
-            f"equal: {rep.equal}, relation type passes: {rep.relation_type.passes}",
-            timing=time.perf_counter() - start,
-        )
+        yield f"theorem-d-{label}", lambda: _theorem_d_case(groups[label], p)
 
 
-def _suite_reconstruction(report: Report, groups: _GroupTable) -> None:
+def _reconstruction_case(group: FiniteGroup, q: int, tri: DualityTriple) -> tuple[str, str, None]:
+    ok = _reconstruction(group, q, tri)[3]
+    return _verdict(ok, f"isomorphic: {ok}")
+
+
+def _suite_reconstruction(groups: _GroupTable) -> Iterator[_Case]:
     cases = [
         ("heisenberg3", 3),
         ("modular3", 3),
@@ -608,12 +606,7 @@ def _suite_reconstruction(report: Report, groups: _GroupTable) -> None:
     ]
     for label, q in cases:
         for kind in TRIPLE_KINDS:
-            ok = _reconstruction(groups[label], q, triple_of(kind))[3]
-            report.add(
-                f"reconstruct-{label}-{kind}",
-                PASS if ok else FAIL,
-                f"isomorphic: {ok}",
-            )
+            yield f"reconstruct-{label}-{kind}", lambda: _reconstruction_case(groups[label], q, triple_of(kind))
 
 
 _SUITES = {
@@ -640,18 +633,9 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> Report:
         raise UsageError(f"unknown suite {suite!r}; expected one of {sorted(_SUITES)}")
     report = Report(tuple(argv), q=None)
     groups = _GroupTable()
-    for fn in _SUITES[suite]:
-        start = time.perf_counter()
-        before = len(report.records)
-        fn(report, groups)
-        elapsed = time.perf_counter() - start
-        # what the records did not time themselves is spread over the others
-        added = report.records[before:]
-        untimed = [rec for rec in added if not rec.timing]
-        if untimed:
-            per = max(elapsed - sum(rec.timing for rec in added), 0.0) / len(untimed)
-            for rec in untimed:
-                rec.timing = per
+    for cases in _SUITES[suite]:
+        for name, body in cases(groups):
+            _check(report, name, body)
     return report
 
 

@@ -1226,8 +1226,10 @@ def _tensor_relation_rows(factors: Sequence[int], q: int, r: int) -> np.ndarray:
 def tensor_quotient(factors: Sequence[int], q: int, r: int, kill_rows: np.ndarray) -> AbGroupPresentation:
     """Presentation of (⊕Z/f_k)^{⊗r} / span(kill_rows)."""
     ngens = len(factors) ** r
+    kill = np.asarray(kill_rows, dtype=np.int64)
+    # reshape(-1, 0) cannot infer a row count, so zero-width rows keep theirs
     rel_rows = np.concatenate(
-        [np.asarray(kill_rows, dtype=np.int64).reshape(-1, ngens), _tensor_relation_rows(factors, q, r)]
+        [kill.reshape(len(kill) if ngens == 0 else -1, ngens), _tensor_relation_rows(factors, q, r)]
     )
     return AbGroupPresentation.from_relations(ngens, q, rel_rows)
 

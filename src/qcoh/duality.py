@@ -181,8 +181,9 @@ def triple_of(kind: str) -> DualityTriple:
 
 
 def _as_matrix(rows: np.ndarray, width: int, q: int) -> ZqMatrix:
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, width) % q
-    return ZqMatrix(arr, q)
+    arr = np.asarray(rows, dtype=np.int64)
+    # reshape(-1, 0) cannot infer a row count, so zero-width rows keep theirs
+    return ZqMatrix(arr.reshape(len(arr) if width == 0 else -1, width), q)
 
 
 def _span_intersection(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:
@@ -309,20 +310,6 @@ def _inflation_kernel_classes(
     exactly, at every order up to the order cap.
     """
     return _nonzero_classes(space, gens, _combo_kernel(source, space.modulus, list(gens), images))
-
-
-def _presentation(ngens: int, q: int, rows: np.ndarray) -> AbGroupPresentation:
-    if ngens == 0:
-        empty = ZqMatrix(np.zeros((0, 0), dtype=np.int64), q)
-        return AbGroupPresentation(
-            ngens=0,
-            modulus=q,
-            relations=empty,
-            invariant_factors=(),
-            basis_images=empty,
-            _coordinate_map=empty,
-        )
-    return AbGroupPresentation.from_relations(ngens, q, _as_matrix(rows, ngens, q))
 
 
 # --------------------------------------------------------------------------
@@ -554,11 +541,11 @@ def central_subquotient(
     qd = quotient(tgrp, floor_in_top)
     Q = qd.quotient
     if Q.order == 1:
-        return CentralSubquotient(group, top, floor, q, _presentation(0, q, np.zeros((0, 0))), ())
+        return CentralSubquotient(group, top, floor, q, AbGroupPresentation.from_relations(0, q, []), ())
     gens = list(Q.generators)
     exps, elems = _power_products(Q, gens, q)
     rel_rows = exps[elems == Q.identity]
-    pres = _presentation(len(gens), q, rel_rows)
+    pres = AbGroupPresentation.from_relations(len(gens), q, _as_matrix(rel_rows, len(gens), q))
     reps = tuple(int(top.members[int(qd.coset_reps[g])]) for g in gens)
     return CentralSubquotient(group, top, floor, q, pres, reps)
 
@@ -629,7 +616,7 @@ def substitution_pairing(
         [[ker.invariants.value(psi, rep) for psi in ker.basis] for rep in module.reps],
         dtype=np.int64,
     ).reshape(len(module.reps), len(ker.basis))
-    right = _presentation(len(ker.basis), q, np.diag(np.array(ker.invariant_factors, dtype=np.int64)) if ker.basis else np.zeros((0, 0)))
+    right = AbGroupPresentation.from_relations(len(ker.basis), q, ZqMatrix(np.diag(np.array(ker.invariant_factors, dtype=np.int64)), q))
     report = pairing_perfection(ZqMatrix(table, q), module.presentation, right)
     return SubstitutionPairing(module, ker, report)
 
@@ -696,7 +683,7 @@ def _pairing_on_classes(
         dtype=np.int64,
     ).reshape(len(module.reps), len(classes))
     rel = _combo_kernel(solver.space.group, q, list(classes))
-    right = _presentation(len(classes), q, rel)
+    right = AbGroupPresentation.from_relations(len(classes), q, _as_matrix(rel, len(classes), q))
     if well_defined:
         report = pairing_perfection(ZqMatrix(table, q), module.presentation, right)
     else:

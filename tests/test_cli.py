@@ -141,6 +141,7 @@ def test_labeled_table_document_verified_once(monkeypatch):
     [{"preset": {"name": "cyclic", "params": [4]}}, {"permutations": {"degree": 4, "generators": [[2, 3, 4, 1]]}}],
     ids=["preset", "permutations"],
 )
+@pytest.mark.optimized
 def test_labeled_preset_and_permutation_documents_verified_once(body, monkeypatch):
     """A labeled preset or permutations document is Light-tested once: the
     labels and name are attached to the group as built, not by a second
@@ -326,6 +327,21 @@ def test_cli_cohomology_cap_raised(capsys):
     assert data["machine"]["quadratic-degree2"] == {"dec_order": 1, "quadratic": True}
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "modular"])
+@pytest.mark.optimized
+def test_cli_cohomology_zero_width_h1_all_pass(capsys, name):
+    """At q = 2 a group of order 27 has H¹ = 0, so its tensor quotients have no
+    generators; every record still passes.  Explicit raises survive ``python -O``."""
+    code, out = _run(capsys, "cohomology", "--preset", name, "--params", "3", "--q", "2",
+                     "--format", "json")
+    data = json.loads(out)
+    statuses = {r["name"]: r["status"] for r in data["checks"]}
+    if code != 0 or len(statuses) != 5 or set(statuses.values()) != {PASS}:
+        raise AssertionError(f"exit {code}, records {statuses}")
+    if data["machine"]["h1-basis"]["invariant_factors"] != [] or data["machine"]["h2-basis"]["invariant_factors"] != []:
+        raise AssertionError(f"machine {data['machine']}")
+
+
 def test_cli_pairing(capsys):
     code, out = _run(capsys, "pairing", "--preset", "dihedral4", "--q", "2")
     assert code == 0
@@ -383,6 +399,7 @@ def test_cli_theorem_d_times_each_record(capsys):
     assert all(t > 0 for t in timings.values())
 
 
+@pytest.mark.optimized
 def test_fault_theorem_d_meet_mismatch_is_a_fail_record(capsys, monkeypatch):
     """A meet that misses the lower-3 subgroup reads as FAIL records with both member lists, exit 1.
 
@@ -408,6 +425,7 @@ def test_fault_theorem_d_meet_mismatch_is_a_fail_record(capsys, monkeypatch):
         raise AssertionError(f"failed records without both member lists: {data['machine']}")
 
 
+@pytest.mark.optimized
 def test_fault_duality_disagreement_is_a_fail_record(capsys, monkeypatch):
     """Condition (f) flipped by a lift kernel that is the whole group: FAIL records with the six verdicts, exit 1.
 
@@ -433,6 +451,40 @@ def test_fault_duality_disagreement_is_a_fail_record(capsys, monkeypatch):
         raise AssertionError(f"failed records without their verdicts: {data['machine']}")
 
 
+@pytest.mark.optimized
+def test_fault_bare_assertion_is_a_fail_record(capsys, monkeypatch):
+    """A bare ``raise AssertionError`` inside a check (no lift found for condition (f))
+    reads as FAIL records that carry its message, exit 1; ``verify all`` still
+    reports every record of the other suites.
+
+    Checked with explicit raises so it also runs under ``python -O``.
+    """
+    code, out = _run(capsys, "verify", "all", "--format", "json")
+    clean = json.loads(out)["checks"]
+    monkeypatch.setattr(duality_mod, "_hom_images", lambda *a, **kw: iter(()))
+    message = "no lift exists for a transgressed class"
+    code, out = _run(capsys, "duality-check", "--preset", "heisenberg", "--params", "3", "--q", "3",
+                     "--format", "json")
+    data = json.loads(out)
+    if code != 1 or len(data["checks"]) != 6:
+        raise AssertionError(f"exit {code}, records {data['checks']}")
+    if any(r["status"] != FAIL or r["details"] != message for r in data["checks"]):
+        raise AssertionError(f"records {data['checks']}")
+
+    code, out = _run(capsys, "verify", "all", "--format", "json")
+    checks = json.loads(out)["checks"]
+    failed = {r["name"] for r in checks if r["status"] == FAIL}
+    if code != 1 or [r["name"] for r in checks] != [r["name"] for r in clean]:
+        raise AssertionError(f"exit {code}, {len(checks)} records")
+    if not failed or not all(name.startswith("duality-") for name in failed):
+        raise AssertionError(f"failed {sorted(failed)}")
+    if any(r["details"] != message for r in checks if r["name"] in failed):
+        raise AssertionError("a failed record lost the message")
+    if [r for r in checks if r["name"] not in failed] != [r for r in clean if r["name"] not in failed]:
+        raise AssertionError("a record outside the failed duality cases changed")
+
+
+@pytest.mark.optimized
 def test_memo_verify_builds_each_group_once(capsys, monkeypatch):
     """One ``verify all`` builds each of its ten groups once; the suites share them."""
     calls = [0]
@@ -451,19 +503,21 @@ def test_memo_verify_builds_each_group_once(capsys, monkeypatch):
         raise AssertionError(f"exit {code}, {calls[0]} group constructions")
 
 
-def test_cli_verify_spreads_only_untimed_records(capsys, monkeypatch):
-    def suite(report, groups):
-        time.sleep(0.05)
-        report.add("timed", PASS, "", timing=0.01)
-        report.add("untimed-a", PASS, "")
-        report.add("untimed-b", PASS, "")
-
-    monkeypatch.setitem(cli_mod._SUITES, "fake", (suite,))
-    code, out = _run(capsys, "verify", "fake", "--format", "json")
-    timings = json.loads(out)["timings"]
-    assert code == 0
-    assert timings["timed"] == 0.01
-    assert timings["untimed-a"] == timings["untimed-b"] >= 0.02
+def test_cli_every_record_has_its_own_timing(capsys):
+    """Every record of ``verify all``, ``theorem-d`` and ``cohomology`` carries a
+    positive time, and the timings block has one entry per record."""
+    for argv in (
+        ("verify", "all"),
+        ("theorem-d", "--preset", "heisenberg", "--params", "3", "--p", "3"),
+        ("cohomology", "--preset", "dihedral4", "--q", "2"),
+    ):
+        code, out = _run(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        names = [r["name"] for r in data["checks"]]
+        assert code == 0
+        assert len(set(names)) == len(names) == len(data["timings"])
+        assert set(data["timings"]) == set(names)
+        assert all(t > 0 for t in data["timings"].values()), data["timings"]
 
 
 def test_cli_reconstruct(capsys):
@@ -594,6 +648,7 @@ def test_cli_usage_errors_exit_2(capsys, argv):
     ],
     ids=["series-depth-below-3", "free-model-d-0", "free-model-over-cap"],
 )
+@pytest.mark.optimized
 def test_cli_input_errors_exit_2_with_message(capsys, argv, message):
     """Checked with explicit raises so it also runs under ``python -O``."""
     code = main(list(argv))
@@ -644,6 +699,7 @@ SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+@pytest.mark.optimized
 def test_every_script_imports(path):
     """Each script imports against the public API and has a callable ``main``; raises survive ``-O``."""
     spec = importlib.util.spec_from_file_location(f"qcoh_script_{path.stem}", path)

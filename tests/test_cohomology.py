@@ -153,6 +153,7 @@ def test_carrier_mismatch_rejected(g33, klein):
 
 @given(seed=st.integers(0, 2**31))
 @settings(max_examples=40, deadline=None)
+@pytest.mark.optimized
 def test_cocycle_check_agrees_with_all_triples(seed):
     """The generator-slice test must match the full n³ loop on arbitrary
     cochains, not just on honest cocycles."""
@@ -171,6 +172,7 @@ def test_cocycle_check_agrees_with_all_triples(seed):
     assert c.is_cocycle() == full
 
 
+@pytest.mark.optimized
 def test_cocycle_check_over_several_row_blocks():
     """One wrong cell in the last row block is found, and the in-place
     coboundary sum equals v(g) + v(h) − v(gh); also under ``python -O``."""
@@ -358,6 +360,7 @@ def test_bockstein_generator_is_not_coboundary():
         assert is_coboundary(bockstein(chi)) is None
 
 
+@pytest.mark.optimized
 def test_cup_and_bockstein_raise_on_a_failed_cocycle_check(g33, monkeypatch):
     """The built cochain's cocycle check is an explicit raise, so it also runs under ``python -O``."""
     chi = h1(g33, 3).basis[0]
@@ -989,6 +992,7 @@ def test_five_term_level2_guard(d4):
         five_term_check(d4, rot, 2)
 
 
+@pytest.mark.optimized
 def test_five_term_quotient_beyond_cap_raises_h2_error():
     """An order-81 quotient fails in h2 itself, with the solver's cap message."""
     g = preset("elementary_abelian", [3, 4])
@@ -1002,6 +1006,7 @@ def test_five_term_quotient_beyond_cap_raises_h2_error():
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabeled"])
 @pytest.mark.parametrize("label,build,qs", oracles.SMALL_SOLVABLE, ids=[c[0] for c in oracles.SMALL_SOLVABLE])
+@pytest.mark.optimized
 def test_h2_tails_oracle_matches_cocycle_lattice(label, build, qs, relabel):
     """The tails frame reads classes as the cocycle lattice does.
 
@@ -1045,6 +1050,7 @@ def test_h2_tails_oracle_matches_cocycle_lattice(label, build, qs, relabel):
                 raise AssertionError(f"{label}, q = {q}: a relation row is not a coboundary")
 
 
+@pytest.mark.optimized
 def test_h2_tails_fault_one_wrong_tail_raises(monkeypatch):
     """A consistent-tails step with one wrong tail is caught by an explicit raise."""
     g = preset("heisenberg", [3])
@@ -1060,6 +1066,7 @@ def test_h2_tails_fault_one_wrong_tail_raises(monkeypatch):
         h2(g, 3)
 
 
+@pytest.mark.optimized
 def test_h2_tails_fault_wrong_lift_changes_raise(monkeypatch):
     """With the lift-change tails B_t dropped, the reader no longer kills B², an explicit raise."""
     g = preset("cyclic", [4])
@@ -1071,6 +1078,7 @@ def test_h2_tails_fault_wrong_lift_changes_raise(monkeypatch):
         h2(g, 2)
 
 
+@pytest.mark.optimized
 def test_h2_tails_fault_wrong_reader_coefficient_raises(monkeypatch):
     """Every tail reader with one wrong coefficient is caught by the coboundary check or the read-back."""
     g = preset("dihedral4")
@@ -1083,6 +1091,7 @@ def test_h2_tails_fault_wrong_reader_coefficient_raises(monkeypatch):
             h2(preset("dihedral4"), 2)
 
 
+@pytest.mark.optimized
 def test_h2_class_solves_reject_a_non_cocycle():
     """express, relations and contains read a class only from a cocycle."""
     g = preset("dihedral4")
@@ -1106,6 +1115,7 @@ def test_h2_class_solves_reject_a_non_cocycle():
 # per-group memo
 
 
+@pytest.mark.optimized
 def test_memo_returns_the_same_h1_h2_and_tree():
     g = preset("dihedral4")
     assert h1(g, 2) is h1(g, 2)
@@ -1115,6 +1125,7 @@ def test_memo_returns_the_same_h1_h2_and_tree():
     assert h1(g, 4).invariant_factors == (2, 2)
 
 
+@pytest.mark.optimized
 def test_memo_cocycle_verdict_is_computed_once(monkeypatch):
     """is_cocycle checks a cochain once; is_coboundary reuses the kept verdict."""
     g = preset("dihedral4")
@@ -1140,6 +1151,7 @@ def test_memo_cocycle_verdict_is_computed_once(monkeypatch):
         raise AssertionError(f"the bad cochain was checked {len(checks)} times")
 
 
+@pytest.mark.optimized
 def test_memo_h2_checks_the_cap_on_every_call():
     g = preset("elementary_abelian", [2, 3])
     space = h2(g, 2)
@@ -1148,6 +1160,7 @@ def test_memo_h2_checks_the_cap_on_every_call():
     assert h2(g, 2) is space
 
 
+@pytest.mark.optimized
 def test_memo_cached_arrays_are_read_only():
     g = preset("heisenberg", [3])
     space = h2(g, 3)
@@ -1158,6 +1171,7 @@ def test_memo_cached_arrays_are_read_only():
             arr[(0,) * arr.ndim] = 1
 
 
+@pytest.mark.optimized
 def test_memo_is_freed_with_its_group():
     g = preset("quaternion8")
     h1(g, 2)

@@ -293,6 +293,7 @@ def test_substitution_pairing_sharp_is_identity(sharp23):
 
 
 @pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.optimized
 def test_substitution_pairing_always_perfect_on_default_floor(label, args, q):
     """With floor = T^q[T,G] the substitution pairing is always perfect."""
     g = _group(*args)
@@ -322,6 +323,7 @@ def test_transgression_pairing_ill_defined_floor(flat23):
     assert not tp.perfect
 
 
+@pytest.mark.optimized
 def test_transgression_preimages_kill_default_floor(h27):
     g = h27
     top = q_central_series(g, 3).term(2)
@@ -451,6 +453,7 @@ def _howell_rows(rows, q):
 
 @pytest.mark.parametrize("label,args,q", POOL)
 @pytest.mark.parametrize("kind", TRIPLE_KINDS)
+@pytest.mark.optimized
 def test_combo_kernel_matches_lattice_oracle(label, args, q, kind):
     """Same kernel span as the coboundary-lattice route, for identity and projection images.
 
@@ -494,6 +497,7 @@ def _case_group(name, params):
 
 @pytest.mark.parametrize("label,args,q", FLOOR_ORACLE_CASES)
 @pytest.mark.parametrize("kind", TRIPLE_KINDS)
+@pytest.mark.optimized
 def test_inflation_kernel_matches_floor_quotient_oracle(label, args, q, kind):
     """Ker(inf: A(G/T) → H²(G)) solved on G spans the same classes as the G/T₀ route.
 
@@ -518,6 +522,7 @@ LIFT_ORACLE_POOL = [case for case in POOL if case[0] in ("cyclic9", "dihedral4",
 
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+@pytest.mark.optimized
 def test_lift_kernel_mask_matches_all_pairs_oracle(label, args, q):
     """The lift search of condition (f) against every fibre assignment, checked on all pairs.
 
@@ -543,6 +548,7 @@ def _same_classes(fast, slow) -> bool:
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
 @pytest.mark.parametrize("kind", TRIPLE_KINDS)
+@pytest.mark.optimized
 def test_linear_dedupe_matches_per_row_oracle(label, args, q, kind):
     """Kernel classes read by linear coordinates equal the per-row solve route, in order.
 
@@ -565,6 +571,7 @@ def test_linear_dedupe_matches_per_row_oracle(label, args, q, kind):
 
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+@pytest.mark.optimized
 def test_express_and_relations_match_hand_stacked_oracle(label, args, q):
     """H2Space.express/relations and H2Subspace.relations against one solve or kernel of the v-space stack.
 
@@ -602,6 +609,7 @@ def test_express_and_relations_match_hand_stacked_oracle(label, args, q):
 
 
 @pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.optimized
 def test_coordinate_members_match_per_representative_oracle(label, args, q):
     """H2Subspace.coordinate_members against building and testing each tuple's representative.
 
@@ -616,6 +624,7 @@ def test_coordinate_members_match_per_representative_oracle(label, args, q):
 
 
 @pytest.mark.parametrize("label,args,q", LIFT_ORACLE_POOL)
+@pytest.mark.optimized
 def test_five_term_image_matches_mix_loop_oracle(label, args, q):
     """Node 4 of the five-term check reads the same kernel and image sets as the mix loop.
 
@@ -631,6 +640,7 @@ def test_five_term_image_matches_mix_loop_oracle(label, args, q):
         raise AssertionError(f"{label}: node 4 reads {detail!r}")
 
 
+@pytest.mark.optimized
 def test_combo_kernel_rejects_a_tampered_kernel_row(h27, monkeypatch):
     """A kernel row that violates the pair system raises, also under ``python -O``."""
     real_kernel = duality_mod.kernel
@@ -647,6 +657,7 @@ def test_combo_kernel_rejects_a_tampered_kernel_row(h27, monkeypatch):
         duality_mod._combo_kernel(level2.quotient, 3, list(space.basis))
 
 
+@pytest.mark.optimized
 def test_level2_frame_raises_on_a_failed_cocycle_check(monkeypatch):
     """A coordinate character that fails its cocycle check raises, also under ``python -O``."""
     g = preset("heisenberg", [3])
@@ -661,6 +672,7 @@ def test_level2_frame_raises_on_a_failed_cocycle_check(monkeypatch):
 
 @pytest.mark.parametrize("label,args,q", POOL)
 @pytest.mark.parametrize("kind", TRIPLE_KINDS)
+@pytest.mark.optimized
 def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
     """Kernel-membership α predicates and ``_inflation_iso`` agree with the old routes.
 
@@ -703,6 +715,7 @@ def test_alpha_kernel_matches_solve_oracle(label, args, q, kind):
 
 
 @pytest.mark.parametrize("label,args,q", POOL)
+@pytest.mark.optimized
 def test_kill_rows_batch_hat_ring_cup_matches_solve_oracle(label, args, q):
     """``hat_ring``'s batched cup predicate gives the relations of one solve per pair.
 
@@ -722,6 +735,7 @@ def test_kill_rows_batch_hat_ring_cup_matches_solve_oracle(label, args, q):
         )
 
 
+@pytest.mark.optimized
 def test_memo_twist_kernel_solves_each_system_once(monkeypatch):
     """One inflation table on sharp(2,2) builds fewer twist systems than it asks for,
     and every kept kernel is read-only."""
@@ -747,6 +761,7 @@ def test_memo_twist_kernel_solves_each_system_once(monkeypatch):
         raise AssertionError("kept twist kernels must exist and be read-only")
 
 
+@pytest.mark.optimized
 def test_memo_level2_frame_is_kept_and_owns_its_solver(h27):
     frame = level2_frame(h27, 3)
     if level2_frame(h27, 3) is not frame:
@@ -758,6 +773,7 @@ def test_memo_level2_frame_is_kept_and_owns_its_solver(h27):
         raise AssertionError("the frame's solver must transgress from the level-2 term")
 
 
+@pytest.mark.optimized
 def test_memo_invariants_and_subgroup_groups_are_kept(h27):
     top = q_central_series(h27, 3).term(2)
     inv = invariants_h1(h27, top, 3)
@@ -769,6 +785,7 @@ def test_memo_invariants_and_subgroup_groups_are_kept(h27):
         raise AssertionError("subgroup_as_group must be kept on the parent per member tuple")
 
 
+@pytest.mark.optimized
 def test_memo_level2_frame_is_freed_with_its_group():
     g = preset("heisenberg", [3])
     level2_frame(g, 3)
@@ -779,6 +796,7 @@ def test_memo_level2_frame_is_freed_with_its_group():
         raise AssertionError("the level-2 facts kept on a group must not keep it alive")
 
 
+@pytest.mark.optimized
 def test_memo_transgression_solver_is_kept_per_top_and_shared(monkeypatch):
     """One solver per (T, q): equal subgroups, the level-2 frame and the six
     duality conditions all read it.  Checked with explicit raises so it also
@@ -815,6 +833,7 @@ def test_memo_transgression_solver_is_kept_per_top_and_shared(monkeypatch):
 
 
 @pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+@pytest.mark.optimized
 def test_memo_dual_basis_from_the_frame_solver_is_identity(d, q):
     """Every sharp model up to the order cap: the frame's own basis and solver give the identity."""
     rep = dual_basis_check(d, q)
@@ -826,6 +845,7 @@ def test_memo_dual_basis_from_the_frame_solver_is_identity(d, q):
 @pytest.mark.parametrize(
     "label,args", [("cyclic3", ("cyclic", [3])), ("el33", ("elementary_abelian", [3, 2]))]
 )
+@pytest.mark.optimized
 def test_inflation_iso_matches_lattice_oracle_when_h1_shrinks(label, args, kind):
     """Killing a Frattini-free quotient shrinks H¹, so some own Bockstein is not inflated.
 
@@ -1125,6 +1145,7 @@ THEOREM_D_CASES = [(label, args, factor_prime_power(q)[0]) for label, args, q in
 
 
 @pytest.mark.parametrize("label,args,p", THEOREM_D_CASES + [("extraspecial81", None, 3)])
+@pytest.mark.optimized
 def test_named_quotient_meet_matches_epimorphism_search_oracle(label, args, p):
     """The meet by coboundary potentials is the meet over the epimorphisms a search finds.
 
@@ -1148,6 +1169,7 @@ def test_named_quotient_meet_matches_epimorphism_search_oracle(label, args, p):
     "label,args,p",
     [c for c in THEOREM_D_CASES if c[0] in ("cyclic16-q4", "dihedral4", "sharp23", "sharp32", "sharp23-redundant")],
 )
+@pytest.mark.optimized
 def test_named_quotient_meet_masks_only_proven_lifts(label, args, p, monkeypatch):
     """The meet is Φ(G) ∩ the kernels of lifts that ``_is_multiplicative`` proved, and no other."""
     g = _case_group(*args)
@@ -1169,6 +1191,7 @@ def test_named_quotient_meet_masks_only_proven_lifts(label, args, p, monkeypatch
         raise AssertionError(f"{label}: the mask holds more than the proven kernels")
 
 
+@pytest.mark.optimized
 def test_fault_unproven_lift_raises_verification_error(monkeypatch):
     """A lift that fails its multiplicativity proof raises, also under ``python -O``."""
     monkeypatch.setattr(duality_mod, "_is_multiplicative", lambda source, target, images: False)
@@ -1178,6 +1201,7 @@ def test_fault_unproven_lift_raises_verification_error(monkeypatch):
         raise AssertionError(f"evidence {info.value.evidence}")
 
 
+@pytest.mark.optimized
 def test_fault_meet_mismatch_raises_verification_error(monkeypatch):
     """A meet that misses the lower-3 subgroup under a passing relation type raises, with both member lists."""
     monkeypatch.setattr(duality_mod, "_named_quotient_meet", lambda group, p: whole_group(group))
@@ -1198,6 +1222,7 @@ RELATION_CASES = POOL + [
 
 
 @pytest.mark.parametrize("label,args,q", RELATION_CASES)
+@pytest.mark.optimized
 def test_relation_type_matches_twist_and_pair_loop_oracle(label, args, q):
     """The twist and cup-kernel tests as linear systems agree with the loops over ξ and over pairs.
 
@@ -1219,6 +1244,7 @@ def test_relation_type_matches_twist_and_pair_loop_oracle(label, args, q):
         raise AssertionError(f"{label}: kernel cup-generated {rep.kernel_cup_generated}, pair loop {cup_generated}")
 
 
+@pytest.mark.optimized
 def test_bockstein_cup_twist_of_extraspecial81_matches_twist_loop_oracle():
     """On 3^{1+4}, above H2_CAP for the rest of the relation type, no ξ twists β into cups, by both routes."""
     g = _extraspecial81()

@@ -84,6 +84,7 @@ def test_order_cap_errors():
     "d, q",
     [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)] + [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 49, 64)],
 )
+@pytest.mark.optimized
 def test_sharp_table_matches_collection_oracle(d, q):
     """The central-extension table equals collection, cell for cell (also under ``-O``)."""
     table, coords = freemodel._sharp_table(d, q)
@@ -309,6 +310,7 @@ def test_sharp_surjects_onto_small_level3_groups(d, q, target_spec):
 # ------------------------------------------------------- checks that survive -O
 
 
+@pytest.mark.optimized
 def test_law_check_fires_when_tampered(monkeypatch):
     """The collection-law checks are explicit raises, so they also fire under ``python -O``."""
     monkeypatch.setattr(FiniteGroup, "commutator", lambda self, x, y: self.identity)
@@ -316,6 +318,7 @@ def test_law_check_fires_when_tampered(monkeypatch):
         free_level3(2, 2, "sharp")
 
 
+@pytest.mark.optimized
 def test_roundtrip_check_fires_when_tampered(sharp22, monkeypatch):
     monkeypatch.setattr(freemodel, "element_of", lambda model, a, c, b: model.group.identity)
     x = sharp22.sigma[0]

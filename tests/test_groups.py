@@ -124,6 +124,7 @@ def test_full_axiom_check_small_presets(d4, q8, h27):
         assert oracles.table_is_associative(g.table)
 
 
+@pytest.mark.optimized
 def test_preset_check_fires_when_tampered(monkeypatch):
     """The preset checks are explicit raises, so they also fire under ``python -O``."""
     monkeypatch.setattr(groups, "center", trivial_subgroup)
@@ -131,6 +132,7 @@ def test_preset_check_fires_when_tampered(monkeypatch):
         preset("dihedral4")
 
 
+@pytest.mark.optimized
 def test_fault_missing_inverse_in_later_block_rejected():
     n = 1024
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
@@ -175,6 +177,7 @@ def test_subgroup_validation(d4):
         Subgroup(d4, (d4.identity, r))  # not closed: r has order 4
 
 
+@pytest.mark.optimized
 def test_subgroup_rejects_members_outside_the_group():
     """A negative member would wrap in the mask, and one past the end would index out of it."""
     g = preset("cyclic", [2])
@@ -358,6 +361,7 @@ def _spec_id(spec):
     list(itertools.product(ORDER8, ORDER8)) + list(itertools.product(ORDER27, ORDER27)),
     ids=_spec_id,
 )
+@pytest.mark.optimized
 def test_is_isomorphic_matches_exhaustive(left, right):
     """``is_isomorphic`` agrees with an exhaustive count of epimorphisms between
     groups of equal order; raises explicitly, so it also checks under ``python -O``."""
@@ -420,6 +424,7 @@ def _pool_group(spec) -> FiniteGroup:
 
 
 @pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("sharp", [3, 2]), ("trivial", [])], ids=_preset_id)
+@pytest.mark.optimized
 def test_bfs_labels_match_word_oracle(spec):
     """Labels built from the parent's label equal the compressed whole words:
     with the group's generators, with one name shared by all of them (runs
@@ -440,6 +445,7 @@ def test_bfs_labels_match_word_oracle(spec):
 
 
 @pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+@pytest.mark.optimized
 def test_trivial_quotient_matches_coset_oracle(spec):
     """G/1 is G itself with the identity projection, and its table, projection
     images, coset representatives and generators equal the coset-table
@@ -457,6 +463,7 @@ def test_trivial_quotient_matches_coset_oracle(spec):
 
 
 @pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+@pytest.mark.optimized
 def test_whole_group_matches_full_closure_check(spec):
     """whole_group, which skips the closure scan, equals G's member set closed
     by the pairwise-product oracle; one element short of G is still rejected."""
@@ -482,6 +489,7 @@ def test_whole_group_matches_full_closure_check(spec):
     [-1, 4, 4 + 65536, 3 + 65536, -65535, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
     ids=["-1", "n", "n+65536", "wraps-to-product", "-65535", "int64-min", "int64-max"],
 )
+@pytest.mark.optimized
 def test_table_range_rejects_non_indices(entry):
     """The range is checked on the wide input, before the table is narrowed
     to uint16: 3 + 65536 wraps to 3, the true product 1·2 in Z/4, and −65535
@@ -495,6 +503,7 @@ def test_table_range_rejects_non_indices(entry):
         FiniteGroup.from_table(bad)
 
 
+@pytest.mark.optimized
 def test_table_range_rejects_narrow_non_indices():
     """A table that is uint16 already is range-checked as it is."""
     z4 = preset("cyclic", [4])
@@ -505,6 +514,7 @@ def test_table_range_rejects_narrow_non_indices():
 
 
 @pytest.mark.parametrize("spec", [*POOL_PRESETS, ("sharp", [2, 3]), ("trivial", [])], ids=_preset_id)
+@pytest.mark.optimized
 def test_narrowing_stores_read_only_uint16_tables(spec):
     """Every route to a group stores its table as read-only C-contiguous
     uint16: presets, sharp models, quotients, subgroups as groups, direct
@@ -581,6 +591,7 @@ def _commutator_corpus():
     return out
 
 
+@pytest.mark.optimized
 def test_commutator_subgroup_matches_all_pairs_oracle():
     """The generator route with its normal-closure certificate equals the
     all-pairs scan on every bracket of the corpus.  Explicit raises, so it
@@ -601,6 +612,7 @@ def test_commutator_subgroup_matches_all_pairs_oracle():
 
 
 @pytest.mark.parametrize("src", POOL_PRESETS + [("direct_product", [("dihedral4",), ("cyclic", [4])])], ids=_preset_id)
+@pytest.mark.optimized
 def test_center_matches_row_loop_oracle(src):
     g = preset(*src)
     if center(g).members != oracles.center_loop(g).members:
@@ -608,6 +620,7 @@ def test_center_matches_row_loop_oracle(src):
 
 
 @pytest.mark.parametrize("src", POOL_PRESETS, ids=_preset_id)
+@pytest.mark.optimized
 def test_is_multiplicative_matches_all_pairs_oracle(src):
     g = preset(*src)
     tree_jumps = groups._generator_tree_jumps(g, g.generators)
@@ -634,6 +647,7 @@ def test_is_multiplicative_matches_all_pairs_oracle(src):
 
 
 @pytest.mark.parametrize("src", POOL_PRESETS, ids=_preset_id)
+@pytest.mark.optimized
 def test_is_normal_matches_all_conjugates_oracle(src):
     g = preset(*src)
     subs = list(normal_subgroups_within(g, whole_group(g)))
@@ -648,6 +662,7 @@ def test_is_normal_matches_all_conjugates_oracle(src):
         raise AssertionError(f"{g.name} has a non-normal cyclic subgroup that was not seen")
 
 
+@pytest.mark.optimized
 def test_fault_swapped_images_raise_in_grouphom(h27):
     """A map built correctly along the BFS tree, then with two images swapped."""
     data = quotient(h27, center(h27))
@@ -672,6 +687,7 @@ def test_fault_swapped_images_raise_in_grouphom(h27):
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabeled"])
 @pytest.mark.parametrize("label,build,qs", oracles.SMALL_SOLVABLE, ids=[c[0] for c in oracles.SMALL_SOLVABLE])
+@pytest.mark.optimized
 def test_pc_presentation_order_bijection_and_relations(label, build, qs, relabel):
     g = oracles.relabeled(build(), seed=len(label)) if relabel else build()
     pc = pc_presentation(g)
@@ -709,6 +725,7 @@ def _alternating5() -> FiniteGroup:
     return _permutation_group([p for p in itertools.permutations(range(5)) if even(p)], "A5")
 
 
+@pytest.mark.optimized
 def test_pc_presentation_rejects_a5():
     a5 = _alternating5()
     if a5.order != 60:
@@ -719,6 +736,7 @@ def test_pc_presentation_rejects_a5():
         h2(a5, 2)
 
 
+@pytest.mark.optimized
 def test_memo_pc_presentation_and_generator_tree_are_built_once(monkeypatch, q8):
     g = preset("dihedral4")
     if pc_presentation(g) is not pc_presentation(g):
@@ -747,6 +765,7 @@ def _first_block_rows(width: int) -> int:
     return groups._BLOCK_CELLS // width
 
 
+@pytest.mark.optimized
 def test_fault_corrupted_cell_in_later_block_rejected(z4x512):
     g = z4x512
     n = g.order
@@ -763,6 +782,7 @@ def test_fault_corrupted_cell_in_later_block_rejected(z4x512):
         FiniteGroup.from_table(bad, generators=g.generators)
 
 
+@pytest.mark.optimized
 def test_fault_unclosed_members_in_later_block_rejected(z4x512):
     g = z4x512
     # {0} × Z/512 is closed; the coset {1} × Z/512 after it is not: (1,a)(1,b) = (2,a+b)
@@ -773,6 +793,7 @@ def test_fault_unclosed_members_in_later_block_rejected(z4x512):
         Subgroup(g, members)
 
 
+@pytest.mark.optimized
 def test_blocked_scans_over_several_blocks(z4x512):
     g = z4x512
     # ⟨(2,0), (0,1)⟩ = {0, 2} × Z/512: 1024 members, a closure of several row blocks
@@ -793,6 +814,7 @@ def test_blocked_scans_over_several_blocks(z4x512):
         raise AssertionError(f"wrong commutator subgroup of order {comm.order}")
 
 
+@pytest.mark.optimized
 def test_quotient_table_over_several_blocks(z4x512):
     """Z/4 × Z/512 modulo ⟨(2, 0)⟩, order 1024: the table is filled in row blocks
     and equals the whole-table formula coset_index[table[reps × reps]]."""
@@ -806,6 +828,7 @@ def test_quotient_table_over_several_blocks(z4x512):
     )
 
 
+@pytest.mark.optimized
 def test_blocked_commutators_past_the_central_first_rows(d4):
     """D4 × Z/256: the first 256 indices are central, so the first row blocks give no commutator."""
     g = direct_product(d4, preset("cyclic", [256]))
@@ -850,6 +873,7 @@ def _check_quotient_against_coset_oracle(g: FiniteGroup, normal: Subgroup) -> No
         raise AssertionError("the quotient must keep the oracle's generators")
 
 
+@pytest.mark.optimized
 def test_overflow_at_order_cap_quotient_matches_coset_oracle(z2_12):
     """(Z/2)^12 modulo the low and the high six coordinates: the coset minima
     and the rows of the blocked scans reach 4032, and the oracle reads the
@@ -862,6 +886,7 @@ def test_overflow_at_order_cap_quotient_matches_coset_oracle(z2_12):
         _check_quotient_against_coset_oracle(g, normal)
 
 
+@pytest.mark.optimized
 def test_overflow_at_order_cap_closure_and_orders_match_oracles(z2_12):
     """subgroup_closure and element_orders at |G| = 4096 against the pairwise
     closure and the multiplication loop on the int64 table."""
@@ -876,6 +901,7 @@ def test_overflow_at_order_cap_closure_and_orders_match_oracles(z2_12):
         raise AssertionError("element orders at the cap disagree with the loop")
 
 
+@pytest.mark.optimized
 def test_overflow_at_order_cap_sharp_build_matches_oracles():
     """sharp(2,5), |G| = 3125, as the order-cap benchmark builds it: the stored
     table equals collection, element orders equal the loop's, and each
@@ -951,6 +977,7 @@ def test_normal_subgroups_in_r_of_d4(d4):
 # per-group memo
 
 
+@pytest.mark.optimized
 def test_memo_returns_the_same_series_and_orders():
     g = preset("heisenberg", [3])
     assert q_central_series(g, 3) is q_central_series(g, 3)
@@ -961,6 +988,7 @@ def test_memo_returns_the_same_series_and_orders():
     assert q_central_series(twin, 3) is not q_central_series(g, 3)
 
 
+@pytest.mark.optimized
 def test_memo_keys_the_series_on_q_and_depth():
     g = preset("cyclic", [16])
     full, shallow = q_central_series(g, 2), q_central_series(g, 2, depth=3)
@@ -973,12 +1001,14 @@ def test_memo_keys_the_series_on_q_and_depth():
         q_central_series(g, 2, depth=2)
 
 
+@pytest.mark.optimized
 def test_memo_orders_are_read_only(d4):
     orders = element_orders(d4)
     with pytest.raises(ValueError):
         orders[0] = 5
 
 
+@pytest.mark.optimized
 def test_memo_is_freed_with_its_group():
     g = preset("dihedral4")
     q_central_series(g, 2)

@@ -153,6 +153,7 @@ def test_coset_reduce_is_canonical(m, data):
 # solve / kernel against exhaustive search
 
 
+@pytest.mark.optimized
 def test_solve_postcondition_fault_raises(monkeypatch):
     """A solution that fails its substitution check raises, also under ``python -O``."""
     m = ZqMatrix([[1, 2], [0, 1]], 3)
@@ -244,6 +245,7 @@ def _differential_inputs(q):
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27])
+@pytest.mark.optimized
 def test_zqlin_matches_row_loop_oracle(q):
     """The array-native Howell form, ``solve``, ``kernel`` and Smith form equal the
     row-loop oracles byte for byte.  Explicit raises, so it also runs under ``python -O``."""
